@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -970,7 +969,7 @@ type shardWork struct {
 	windowW   float64
 	windows   int
 	sliceS    float64 // busy-accounting horizon for this interval's slice
-	maxBatch  int     // > 1 selects the dynamic-batching replay loop
+	maxBatch  int     // sizes the completions scratch (1 = unbatched)
 
 	// comps is the per-arrival completions scratch of the batched loop,
 	// reused across queries and intervals.
@@ -1115,95 +1114,20 @@ func (w *shardWork) traceServed(qid int64, instID int, arrS, startS, doneS float
 	ev.Value = doneS - arrS
 }
 
+// run replays the task's query stream over its pool. Unbatched
+// service is the MaxBatch <= 1 case of the one loop: such instances
+// answer each arrival immediately; batching instances emit latencies
+// when their batches dispatch (window expiry, a full batch, or the
+// end-of-slice drain), bucketed into observation windows by each
+// query's own arrival instant. Pools mix batched and unbatched
+// instances (each pair derives its own batch cap from the measured
+// efficiency curve), so the loop branches per pick.
 func (w *shardWork) run() {
 	router := w.newRouter()
 	rng := stats.NewRand(w.seed)
 	for _, in := range w.insts {
 		in.ResetSlice(w.sliceS)
 	}
-	if w.maxBatch > 1 {
-		w.runBatched(router, rng)
-		return
-	}
-	trouter, _ := router.(TracedRouter)
-	for _, q := range w.queries {
-		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
-		remote := w.remoteFrac > 0 && cacheHit(w.remoteStream, q.ID, w.remoteFrac)
-		rtt := 0.0
-		if remote {
-			rtt = w.remoteRTTS
-		}
-		sampled := w.traceOn && w.trace.Sampled(q.ID)
-		if sampled {
-			ev := w.trace.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
-			ev.Value = float64(q.Size)
-			ev.Aux = q.SparseScale
-		}
-		if w.cacheServe(q, wi, sampled, rtt) {
-			if remote {
-				w.remoteServed++
-			}
-			continue
-		}
-		if len(w.insts) == 0 {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-			}
-			continue
-		}
-		var pick int
-		if sampled {
-			ev := w.trace.Emit(telemetry.KindRoute, q.ID, q.ArrivalS)
-			if trouter != nil {
-				pick = trouter.PickTraced(w.insts, q.ArrivalS, rng, ev)
-			} else {
-				pick = router.Pick(w.insts, q.ArrivalS, rng)
-			}
-			ev.Instance = int32(w.insts[pick].ID)
-			if trouter == nil {
-				ev.Cand[0] = ev.Instance
-				ev.NCand = 1
-			}
-		} else {
-			pick = router.Pick(w.insts, q.ArrivalS, rng)
-		}
-		in := w.insts[pick]
-		start, done, drop := in.arrive(q.ArrivalS, q.Size, q.SparseScale)
-		if drop {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-				ev.Instance = int32(in.ID)
-			}
-			continue
-		}
-		if sampled {
-			w.traceServed(q.ID, in.ID, q.ArrivalS, start, done, 1)
-		}
-		if remote {
-			w.remoteServed++
-		}
-		w.observe(wi, done-q.ArrivalS+rtt)
-	}
-}
-
-// runBatched is the dynamic-batching replay loop: latencies are
-// emitted when batches dispatch (window expiry, a full batch, or the
-// end-of-slice drain) rather than per arrival, and are bucketed into
-// observation windows by each query's own arrival instant — the same
-// accounting as the unbatched loop, just deferred. Pools mix batched
-// and unbatched instances (each pair derives its own batch cap from
-// the measured efficiency curve), so the loop branches per pick.
-func (w *shardWork) runBatched(router Router, rng *rand.Rand) {
 	if cap(w.comps) < 2*w.maxBatch {
 		// One arrival can trigger at most an expiry dispatch of the
 		// forming batch plus a full-batch dispatch including itself.
