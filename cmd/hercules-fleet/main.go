@@ -18,7 +18,7 @@
 //	               [-cache-cold]
 //	               [-days 1] [-step-min 60] [-peak 0] [-headroom 0.15]
 //	               [-queue 32] [-slice 8] [-window 1] [-max-queries 150000]
-//	               [-batch 1] [-batch-wait 2] [-shards 0] [-sequential]
+//	               [-batch 1] [-batch-wait 2]
 //	               [-seed 42] [-ndjson] [-summary] [-pretty]
 //	               [-trace-out trace.ndjson] [-trace-chrome trace.json]
 //	               [-trace-sample 1024] [-sketch-tails]
@@ -72,8 +72,8 @@
 // interval's offered-load metadata) as an NDJSON trace; -trace feeds a
 // recorded file back in, replaying exactly those arrivals instead of
 // synthesizing load — byte-identical to the recorded run under the
-// same spec, at any shard count, which is how live traffic captured
-// once gets replayed against candidate configurations. -cache-hit puts
+// same spec, which is how live traffic captured once gets replayed
+// against candidate configurations. -cache-hit puts
 // a warmth-tracking cache tier in front of routing: hits return at
 // -cache-latency, misses route normally, and the fleet is provisioned
 // against the miss load — scenario cache-flush events (cachestorm)
@@ -172,8 +172,6 @@ type cliFlags struct {
 	maxQ      *int
 	batch     *int
 	batchWait *float64
-	shards    *int
-	seq       *bool
 	seed      *int64
 	ndjson    *bool
 	summary   *bool
@@ -234,8 +232,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		maxQ:      fs.Int("max-queries", def.Options.MaxQueriesPerInterval, "replayed-query budget per interval"),
 		batch:     fs.Int("batch", def.Options.MaxBatch, "dynamic batching: max queries coalesced per dispatch (1 = off)"),
 		batchWait: fs.Float64("batch-wait", def.Options.BatchWaitS*1e3, "max batch-formation wait in milliseconds"),
-		shards:    fs.Int("shards", def.Options.Shards, "per-model shard fan-out (0 = NumCPU)"),
-		seq:       fs.Bool("sequential", false, "disable the parallel worker pool"),
 		seed:      fs.Int64("seed", def.Options.Seed, "deterministic seed"),
 		ndjson:    fs.Bool("ndjson", false, "stream per-interval stats as JSON lines while replaying"),
 		summary:   fs.Bool("summary", false, "omit per-interval series from the JSON"),
@@ -292,8 +288,6 @@ func buildSpec(cf *cliFlags, fs *flag.FlagSet) (fleet.Spec, error) {
 		"max-queries":   func(s *fleet.Spec) { s.Options.MaxQueriesPerInterval = *cf.maxQ },
 		"batch":         func(s *fleet.Spec) { s.Options.MaxBatch = *cf.batch },
 		"batch-wait":    func(s *fleet.Spec) { s.Options.BatchWaitS = *cf.batchWait / 1e3 },
-		"shards":        func(s *fleet.Spec) { s.Options.Shards = *cf.shards },
-		"sequential":    func(s *fleet.Spec) { s.Options.Sequential = *cf.seq },
 		"seed":          func(s *fleet.Spec) { s.Options.Seed = *cf.seed },
 		"trace-sample":  func(s *fleet.Spec) { s.Options.TraceSample = *cf.traceSample },
 		"sketch-tails":  func(s *fleet.Spec) { s.Options.SketchTails = *cf.sketchTails },

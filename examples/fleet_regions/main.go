@@ -31,7 +31,6 @@ func main() {
 		{Name: "west", PhaseH: -6},
 	}
 	spec.Options.MaxQueriesPerInterval = 20000
-	spec.Options.Shards = 1
 
 	run := func(geo string) fleet.DayResult {
 		spec.Geo = geo

@@ -60,7 +60,6 @@ func CarbonSpec(scaler, admission, curve, capScenario string, seed int64) fleet.
 	spec.Models = append([]string(nil), FleetModels...)
 	spec.Grid = grid.Spec{Curve: curve}
 	spec.Options.MaxQueriesPerInterval = 25000
-	spec.Options.Shards = 1
 	spec.Options.Seed = seed
 	return spec
 }

@@ -83,21 +83,13 @@ func FleetWorkloads(table *profiler.Table, seed int64) []cluster.Workload {
 // FleetSpec is the experiment's run spec for one router × policy
 // cell: DefaultSpec (small fleet, RMC1+RMC2, 15% serving headroom)
 // with the per-interval query budget lowered so the full sweep stays
-// fast, and Shards pinned to 1 (instead of the runtime.NumCPU()
-// default): sharding statically partitions each model's instances and
-// traffic, so routing quality degrades with shard count — the recorded
-// tables score routers on whole-pool routing — and pinning makes
-// replay results and BenchmarkFleetDay's allocation profile (which the
-// CI gate bounds within 10%) identical on every machine. The replay
-// still flows through the worker pool; TestFleetDayDeterminism covers
-// the many-shard parallel path.
+// fast.
 func FleetSpec(router, policy string, seed int64) fleet.Spec {
 	spec := fleet.DefaultSpec()
 	spec.Router = router
 	spec.Policy = policy
 	spec.Models = append([]string(nil), FleetModels...)
 	spec.Options.MaxQueriesPerInterval = 40000
-	spec.Options.Shards = 1
 	spec.Options.Seed = seed
 	return spec
 }

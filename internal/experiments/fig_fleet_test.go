@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
 	"hercules/internal/fleet"
+	"hercules/internal/profiler"
 )
 
 func TestFig13Online(t *testing.T) {
@@ -92,50 +94,56 @@ func TestFleetTableCalibrates(t *testing.T) {
 	}
 }
 
+// atProcs runs f with GOMAXPROCS set to procs, restoring it after.
+func atProcs(procs int, f func()) {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	f()
+}
+
+// replayJSON replays spec's experiment day at the given GOMAXPROCS and
+// returns the DayResult's JSON.
+func replayJSON(t *testing.T, spec fleet.Spec, table *profiler.Table, procs int) []byte {
+	t.Helper()
+	var day fleet.DayResult
+	var err error
+	atProcs(procs, func() {
+		var eng *fleet.Engine
+		if eng, err = fleet.NewEngine(spec, fleet.WithTable(table)); err == nil {
+			day, err = eng.RunDay(FleetWorkloads(table, Seed))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if day.TotalQueries == 0 {
+		t.Fatal("replay produced no traffic")
+	}
+	b, err := json.Marshal(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestFleetDayDeterminism is the golden determinism guard for the
-// parallel replay: two BenchmarkFleetDay-configuration runs with the
-// same seed — worker pool enabled — must produce byte-identical
-// summary reports, and the parallel replay must be byte-identical to
-// the sequential one (shard RNG streams are seeded per (interval,
-// model, shard), so scheduling order must never leak into results).
-// Deliberately not skipped in -short mode: this is the CI witness that
-// the hot-path optimizations keep seeded replays reproducible.
+// concurrent replay over the real calibrated service grids: the
+// BenchmarkFleetDay configuration must produce byte-identical summary
+// reports run to run and at any worker count (each model's pool
+// replays as one task on its own seeded streams, so scheduling must
+// never leak into results). Deliberately not skipped in -short mode:
+// this is the CI witness that the hot-path optimizations keep seeded
+// replays reproducible.
 func TestFleetDayDeterminism(t *testing.T) {
 	table, err := FleetTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sequential bool) []byte {
-		t.Helper()
-		spec := FleetSpec(fleet.PowerOfTwo, "hercules", Seed)
-		// Eight shards per model regardless of host core count: the
-		// byte-identity claim must hold for genuinely sharded replays,
-		// not just the single-shard experiment configuration.
-		spec.Options.Shards = 8
-		spec.Options.Sequential = sequential
-		eng, err := fleet.NewEngine(spec, fleet.WithTable(table))
-		if err != nil {
-			t.Fatal(err)
+	spec := FleetSpec(fleet.PowerOfTwo, "hercules", Seed)
+	one := replayJSON(t, spec, table, 1)
+	for _, procs := range []int{8, 8} {
+		if !bytes.Equal(replayJSON(t, spec, table, procs), one) {
+			t.Errorf("GOMAXPROCS=%d replay diverged from GOMAXPROCS=1", procs)
 		}
-		day, err := eng.RunDay(FleetWorkloads(table, Seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	par1, par2, seq := run(false), run(false), run(true)
-	if !bytes.Equal(par1, par2) {
-		t.Error("two parallel replays with the same seed diverged")
-	}
-	if !bytes.Equal(par1, seq) {
-		t.Error("parallel replay diverged from sequential replay")
-	}
-	var day fleet.DayResult
-	if err := json.Unmarshal(par1, &day); err != nil || day.TotalQueries == 0 {
-		t.Fatalf("replay produced no traffic: %v (queries=%d)", err, day.TotalQueries)
 	}
 }

@@ -35,7 +35,6 @@ func RegionsSpec(geo string, seed int64) fleet.Spec {
 		{Name: "west", PhaseH: -6},
 	}
 	spec.Options.MaxQueriesPerInterval = 25000
-	spec.Options.Shards = 1
 	spec.Options.Seed = seed
 	return spec
 }

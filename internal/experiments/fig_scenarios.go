@@ -39,10 +39,8 @@ var ScenarioPolicyCells = []struct{ Scaler, Admission string }{
 
 // ScenarioSpec is the sweep's run spec for one cell: the Fig.
 // 13-online configuration with the per-interval query budget lowered
-// so the full scenario × router × policy sweep stays interactive, the
-// shard pinning released (scenario rows score whole-pool routing under
-// disruption, and the sweep is not a benchmark subject), and the named
-// scenario injected through the spec.
+// so the full scenario × router × policy sweep stays interactive, and
+// the named scenario injected through the spec.
 func ScenarioSpec(name, router string, seed int64) fleet.Spec {
 	spec := fleet.DefaultSpec()
 	spec.Router = router

@@ -191,8 +191,8 @@ func splitmix64(x uint64) uint64 {
 
 // cacheStreamSeed derives the per-(interval, model) hit-decision
 // stream. Membership is a pure function of (seed, interval, model,
-// query ID) — like trace sampling, no shard layout or scheduling order
-// can change which queries hit.
+// query ID) — like trace sampling, no scheduling order can change
+// which queries hit.
 func cacheStreamSeed(seed int64, interval int, modelHash int64) uint64 {
 	return splitmix64(splitmix64(uint64(seed)^0xCAC4EDA7^uint64(interval)) ^ uint64(modelHash))
 }

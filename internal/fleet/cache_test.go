@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"hercules/internal/cluster"
@@ -21,7 +20,6 @@ func cacheDay() []cluster.Workload {
 func runCacheDay(t *testing.T, cache CacheSpec, scenarioJSON string, mutate func(*Options)) DayResult {
 	t.Helper()
 	opts := testOpts()
-	opts.Shards = 4
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -60,22 +58,6 @@ func TestCacheDisabledIsZeroCost(t *testing.T) {
 		if ist.CacheWarmth != nil || ist.CacheHits != 0 {
 			t.Fatalf("interval %d carries cache state with the tier disabled", ist.Index)
 		}
-	}
-}
-
-// TestCacheParallelMatchesSequential: the hit decision is a pure
-// function of (seed, interval, model, query ID) — shard layout and
-// scheduling must not move a single query across the hit/miss line.
-func TestCacheParallelMatchesSequential(t *testing.T) {
-	seq := runCacheDay(t, CacheSpec{HitRate: 0.8}, "", func(o *Options) { o.Sequential = true })
-	par := runCacheDay(t, CacheSpec{HitRate: 0.8}, "", nil)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("cache-enabled parallel replay diverged from sequential")
-	}
-	par8 := runCacheDay(t, CacheSpec{HitRate: 0.8}, "", func(o *Options) { o.Shards = 8 })
-	if par8.TotalCacheHits != par.TotalCacheHits {
-		t.Errorf("shard cap changed the hit set: %d vs %d hits",
-			par8.TotalCacheHits, par.TotalCacheHits)
 	}
 }
 

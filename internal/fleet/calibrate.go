@@ -30,7 +30,8 @@ func CalibrateTable(models []*model.Model, servers []hw.Server, seed int64) (*pr
 	entries := make([]profiler.Entry, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
+	//lint:allow wallclock bounds concurrent calibrations; each pair's entry is seeded and independent
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, j job) {

@@ -53,8 +53,8 @@
 //   - TraceSource / LoadTrace — replay a recorded NDJSON arrival
 //     trace (Spec.Trace, or WithTraceSource for an in-memory one) in
 //     place of the synthetic generator; re-ingesting a day recorded
-//     at trace sample 1 reproduces its DayResult byte for byte at any
-//     shard count (TestRecordReplayRoundTrip pins it, FuzzTraceParse
+//     at trace sample 1 reproduces its DayResult byte for byte
+//     (TestRecordReplayRoundTrip pins it, FuzzTraceParse
 //     holds the parser to errors-never-panics);
 //   - CacheSpec (Spec.Cache) — an embedding-cache tier in front of
 //     the fleet: hits resolve at the cache latency without touching a
@@ -98,9 +98,9 @@
 // tracer — lifecycle events (arrival, shed, route with the inspected
 // candidate set, enqueue, batch, start, end, complete, drop) for a
 // deterministically sampled 1-in-N of the query stream, staged in
-// per-shard buffers and drained in deterministic order, so sequential
-// and parallel replays emit byte-identical traces and the DayResult is
-// unchanged traced or untraced. Routers expose their decision through
+// per-task buffers and drained in model-name order, so every replay of
+// a spec emits a byte-identical trace at any worker count and the
+// DayResult is unchanged traced or untraced. Routers expose their decision through
 // TracedRouter.PickTraced, contractually identical to Pick.
 // NewMetricsObserver folds the Observer stream into a
 // telemetry.Registry of counters, gauges and sketch-backed histograms,
@@ -116,16 +116,18 @@
 // Replay is sampled: each trace interval simulates a slice of traffic
 // at the interval's full arrival rate (long enough for stable tail
 // estimates, capped by Options.MaxQueriesPerInterval) and extrapolates
-// interval metrics from the slice. The parallel path shards each
-// model's instances and query stream across a runtime.NumCPU()-sized
-// worker pool; shard assignment is drawn deterministically, so
-// parallel and sequential replays produce identical results.
+// interval metrics from the slice. Each model's whole provisioned pool
+// is routed as one unit: one replay task per (region × model) and
+// interval, with its own seeded RNG streams. The tasks share nothing,
+// so they run concurrently on up to GOMAXPROCS workers, and the worker
+// count cannot change a result — a replay is a pure function of its
+// spec.
 //
 // The replay loop is engineered to stay off the allocator and the
 // garbage collector: instance queues are index-based float64 min-heaps
 // over preallocated slices, per-pair service times are precomputed on
 // a dense grid shared process-wide (SharedSimService) and resolved to
-// a direct sampler per instance, and shard tasks plus merge buffers
+// a direct sampler per instance, and pool tasks plus merge buffers
 // are pooled across intervals. Route decisions and admissions are
 // zero-alloc (guarded by alloc_test.go); BENCH_fleet.json at the repo
 // root records the benchmarked baseline cmd/hercules-bench gates CI

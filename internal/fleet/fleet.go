@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hercules/internal/cluster"
 	"hercules/internal/grid"
@@ -47,17 +50,12 @@ type Options struct {
 	// before dispatching anyway — the latency the throughput gain is
 	// bought with. Only meaningful when MaxBatch > 1.
 	BatchWaitS float64 `json:"batch_wait_s"`
-	// Shards caps the per-model shard fan-out (0 = runtime.NumCPU()).
-	Shards int `json:"shards,omitempty"`
-	// Sequential disables the worker pool (results are identical; the
-	// flag exists for debugging and benchmarking the parallel path).
-	Sequential bool `json:"sequential,omitempty"`
 	// TraceSample enables the deterministically-sampled per-query
 	// tracer: N traces 1 in N queries (1 traces every query), 0
 	// disables tracing. Sample membership is a seeded hash of each
-	// query's (interval, model, index) identity, so parallel and
-	// sequential replays of the same spec trace the same queries and
-	// emit byte-identical event streams. NewEngine materializes the
+	// query's (interval, model, index) identity, so every replay of
+	// the same spec traces the same queries and emits a byte-identical
+	// event stream. NewEngine materializes the
 	// tracer as Engine.Tracer; attach export sinks there.
 	TraceSample int `json:"trace_sample,omitempty"`
 	// SketchTails replaces the exact per-window latency buffers with
@@ -101,7 +99,7 @@ type Engine struct {
 	Provisioner *cluster.Provisioner
 	// Router is the registered name of the per-query routing policy;
 	// RunDay resolves it through the registry, once, and instantiates
-	// a fresh Router per replay shard.
+	// a fresh Router per model pool and interval.
 	Router  string
 	Service ServiceSource
 	// Scaler is the online autoscaling policy; nil disables early
@@ -124,10 +122,10 @@ type Engine struct {
 	// aggregation itself is built on.
 	Observers []Observer
 	// Tracer collects sampled per-query lifecycle events
-	// (telemetry.Kind) when non-nil: shard workers stage events in
-	// per-shard buffers, the replay goroutine drains them in
-	// deterministic shard order after each interval and flushes the
-	// tracer's sinks. NewEngine creates one automatically when
+	// (telemetry.Kind) when non-nil: each model's replay task stages
+	// events in its own buffers, and the replay goroutine drains them
+	// in model-name order after each interval and flushes the tracer's
+	// sinks. NewEngine creates one automatically when
 	// Options.TraceSample > 0; hand-assembled engines set it directly.
 	Tracer *telemetry.Tracer
 	// TraceSrc replays a recorded arrival trace instead of generating
@@ -185,43 +183,19 @@ type modelObs struct {
 }
 
 // replayScratch holds the buffers one RunDay reuses across intervals so
-// the replay loop stops allocating after the first interval: the query
-// generation buffer, the shard task pool, and the latency merge
-// buffers. An Engine must not run concurrent RunDays (it never could —
-// the provisioner and autoscaler are also per-engine state).
+// the replay loop stops allocating after the first interval: the
+// per-model task pool (each task keeps its query and window buffers)
+// and the latency merge buffers. An Engine must not run concurrent
+// RunDays (it never could — the provisioner and autoscaler are also
+// per-engine state).
 type replayScratch struct {
-	queries  []workload.Query
-	shards   []*shardWork // grown on demand, reused each interval
-	used     int
-	tasks    []*shardWork
-	winBuf   []float64
-	modelBuf []float64
+	tasks    []*poolTask // grown on demand, reused each interval
 	allBuf   []float64
 	breached []bool
-
-	// shedBuf stages engine-level trace events (arrival + shed for
-	// sampled queries rejected at admission) per model; winSk, modelSk
-	// and allSk are the reused merge targets of the SketchTails path.
-	shedBuf telemetry.ShardBuf
-	winSk   stats.Sketch
+	// modelSk and allSk are the reused merge targets of the
+	// SketchTails path.
 	modelSk stats.Sketch
 	allSk   stats.Sketch
-
-	// Bounded worker pool for one RunDay: workers drain work and tick
-	// wg once per completed shard.
-	work chan *shardWork
-	wg   sync.WaitGroup
-}
-
-// shard hands out the next pooled shardWork, growing the pool on first
-// use of each slot.
-func (sc *replayScratch) shard() *shardWork {
-	if sc.used == len(sc.shards) {
-		sc.shards = append(sc.shards, &shardWork{})
-	}
-	sw := sc.shards[sc.used]
-	sc.used++
-	return sw
 }
 
 // ApplyScenario compiles the scenario against the workloads' aligned
@@ -377,17 +351,20 @@ func (e *Engine) RunDay(ws []cluster.Workload) (DayResult, error) {
 		e.run = nil
 		return res, err
 	}
+	engines := []*Engine{e}
 	for i := 0; i < e.run.steps; i++ {
-		e.stepInterval(i, nil)
+		e.prepareInterval(i, nil)
+		runInterval(engines)
 	}
 	return e.endDay(), nil
 }
 
 // dayRun is one in-flight RunDay's cross-interval state. Factoring it
 // out of the loop lets the replay be driven two ways: RunDay's own
-// beginDay → stepInterval × steps → endDay sequence, or interval-by-
-// interval by MultiEngine, which interleaves the regions' engines so a
-// geo-router can move load between them at every step.
+// beginDay → (prepareInterval, runInterval) × steps → endDay
+// sequence, or interval-by-interval by MultiEngine, which prepares
+// every region and runs them all in one runInterval, so a geo-router
+// can move load between them at every step.
 type dayRun struct {
 	ws    []cluster.Workload
 	res   DayResult
@@ -404,13 +381,20 @@ type dayRun struct {
 	// knownFleet is the control plane's (detection-lagged) view of
 	// scenario fleet health: kills observed up to the previous interval.
 	knownFleet scenario.Effects
+
+	// The interval in flight between prepareInterval and
+	// finishInterval: its stats so far, scenario effects, slice length
+	// and replay tasks (model-name order).
+	ist    IntervalStats
+	eff    scenario.Effects
+	sliceS float64
+	tasks  []*poolTask
 }
 
 // beginDay validates the workloads, resolves policies, compiles the
-// scenario, seeds the per-day state and starts the worker pool. Every
-// error path leaves e.run set (its res carries the run's labels) and
-// the pool unstarted; on success the caller owns a stepInterval ×
-// steps → endDay obligation.
+// scenario and seeds the per-day state. Every error path leaves e.run
+// set (its res carries the run's labels); on success the caller steps
+// every interval and then calls endDay.
 func (e *Engine) beginDay(ws []cluster.Workload) error {
 	e.run = &dayRun{ws: ws}
 	r := e.run
@@ -494,26 +478,6 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 		e.gridTL = tl
 	}
 
-	// One bounded worker pool serves the whole day: started here, fed a
-	// batch of independent shards per interval, drained by endDay. Shard
-	// RNG streams are seeded per (interval, model, shard), so scheduling
-	// order cannot leak into results.
-	if !e.Opts.Sequential {
-		// Capped at 16: shard counts rarely exceed Shards × models, and
-		// an unbounded pool would make the replay's (small, gated)
-		// allocation profile scale with the host's core count.
-		workers := min(runtime.NumCPU(), 16)
-		e.scratch.work = make(chan *shardWork, workers)
-		for w := 0; w < workers; w++ {
-			go func(work <-chan *shardWork) {
-				for t := range work {
-					t.run()
-					e.scratch.wg.Done()
-				}
-			}(e.scratch.work)
-		}
-	}
-
 	// The DayResult aggregation is itself an Observer on the interval
 	// stream — the first in line, ahead of any caller-registered sinks,
 	// so external observers see exactly what the aggregate is built
@@ -553,12 +517,12 @@ type geoAdjust struct {
 	outQPS  float64
 }
 
-// stepInterval replays one trace interval against the current fleet
-// state: re-provision if due, apply scenario fleet effects, replay the
-// slice, decorate and publish the interval, and latch the autoscaler
-// and fleet-health signals for the next boundary. Must be called with
-// consecutive i after beginDay.
-func (e *Engine) stepInterval(i int, adj *geoAdjust) IntervalStats {
+// prepareInterval readies trace interval i against the current fleet
+// state: re-provision if due, apply scenario fleet effects, record the
+// interval's provisioning, and build one replay task per model
+// (buildTasks); runInterval then replays and finishes it. Must be
+// called with consecutive i after beginDay.
+func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 	r := e.run
 	eff := e.Timeline.At(i)
 	loads := e.offeredLoads(i, eff)
@@ -591,58 +555,35 @@ func (e *Engine) stepInterval(i int, adj *geoAdjust) IntervalStats {
 	}
 
 	pools, dead := e.effectiveInstances(r.insts, eff)
-	ist := e.replayInterval(i, r.stepS, loads, pools, eff, adj)
-	ist.Reprovisioned = reprovision
-	ist.EarlyReprovision = reprovision && r.earlyPending && !scheduled
-	// extraR still holds the previous IntervalEnd's return — the
-	// boost headroom in force for exactly this interval. (Consulting
-	// Scaler.Boosted() here would read boostLeft one step ahead of
-	// the interval being reported.)
-	ist.Boosted = r.extraR > 0
-	ist.ActiveServers = r.active.ActiveServers
-	ist.DeadServers = dead
-	ist.PowerCappedTypes = len(eff.PowerCapW)
-	ist.ProvisionedKW = r.active.ProvisionedPowerW / 1e3
-	ist.ProvisionedEnergyKJ = r.active.ProvisionedPowerW * r.stepS / 1e3
-	if e.gridTL != nil {
-		ist.GridGPerKWh = e.gridTL.At(i)
-		ist.CarbonG = power.CarbonG(ist.EnergyKJ, ist.GridGPerKWh)
+	r.eff = eff
+	r.ist = IntervalStats{
+		Index:            i,
+		TimeH:            float64(i) * r.stepS / 3600,
+		ModelP95MS:       make(map[string]float64),
+		ModelP99MS:       make(map[string]float64),
+		Reprovisioned:    reprovision,
+		EarlyReprovision: reprovision && r.earlyPending && !scheduled,
+		// extraR still holds the previous IntervalEnd's return — the
+		// boost headroom in force for exactly this interval. (Consulting
+		// Scaler.Boosted() here would read boostLeft one step ahead of
+		// the interval being reported.)
+		Boosted:             r.extraR > 0,
+		ActiveServers:       r.active.ActiveServers,
+		DeadServers:         dead,
+		PowerCappedTypes:    len(eff.PowerCapW),
+		ProvisionedKW:       r.active.ProvisionedPowerW / 1e3,
+		ProvisionedEnergyKJ: r.active.ProvisionedPowerW * r.stepS / 1e3,
 	}
 	if adj != nil {
-		ist.SpillOutQPS = adj.outQPS
+		r.ist.SpillOutQPS = adj.outQPS
 	}
-	for _, o := range r.sinks {
-		o.ObserveInterval(ist)
-	}
-
-	r.earlyPending, r.extraR = false, 0
-	if e.Scaler != nil {
-		if g, ok := e.Scaler.(GridObserver); ok && e.gridTL != nil {
-			// The next interval's intensity plays the role of the
-			// day-ahead forecast a grid operator publishes (At wraps at
-			// the day boundary), judged against the day's mean.
-			g.ObserveGrid(e.gridTL.At(i+1), e.gridTL.MeanG())
-		}
-		r.earlyPending, r.extraR = e.Scaler.IntervalEnd()
-	}
-	if !eff.SameFleetState(r.knownFleet) {
-		// Health checks noticed servers dying or returning during
-		// this interval: re-provision at the next boundary against
-		// the new availability.
-		r.knownFleet = eff
-		r.earlyPending = true
-	}
-	return ist
+	r.tasks = e.buildTasks(i, loads, pools, eff, adj)
 }
 
-// endDay closes the worker pool, finalizes the aggregation and
-// restores the provisioner, returning the day's result.
+// endDay finalizes the aggregation and restores the provisioner,
+// returning the day's result.
 func (e *Engine) endDay() DayResult {
 	r := e.run
-	if e.scratch.work != nil {
-		close(e.scratch.work)
-		e.scratch.work = nil
-	}
 	r.agg.finish(r.steps)
 	if e.Scaler != nil {
 		r.res.AutoscaleEvents = e.Scaler.TriggerCount()
@@ -954,18 +895,33 @@ func (e *Engine) idleWatts(serverType string) float64 {
 	return w
 }
 
-// shardWork is one (model, shard) replay task: a disjoint slice of the
-// model's instances plus the queries deterministically thinned onto it.
-// Shard tasks are pooled by replayScratch and reused across intervals;
-// reset re-arms one, keeping its backing arrays.
-type shardWork struct {
+// poolTask is one model's replay task for an interval: the model's
+// whole effective pool plus its admitted query stream, routed by one
+// router over one seeded RNG stream. Tasks of different models (and
+// regions) share nothing, so they run concurrently. Tasks are pooled
+// by replayScratch and reused across intervals; reset re-arms one,
+// keeping its backing arrays.
+type poolTask struct {
 	modelName string
 	slaMS     float64
 	insts     []*Instance
 	queries   []workload.Query
 
+	// The stream admit builds: the recorded arrivals when fromTrace,
+	// else qps of model generated from genSeed with sizes scaled by
+	// sizeScale; then thinned by shedFrac on the shedSeed stream.
+	fromTrace bool
+	recorded  []workload.Query
+	model     *model.Model
+	qps       float64
+	genSeed   int64
+	sizeScale float64
+	shedFrac  float64
+	shedSeed  int64
+
 	newRouter func() Router
 	seed      int64
+	group     int // index of the task's engine in runInterval
 	windowW   float64
 	windows   int
 	sliceS    float64 // busy-accounting horizon for this interval's slice
@@ -977,8 +933,8 @@ type shardWork struct {
 
 	// Cache tier: cacheHR > 0 enables the hit test — a deterministic
 	// Bernoulli draw on cacheStream hashed with the query ID, so the
-	// set of hits is a pure function of the query's identity, never of
-	// shard layout. Hits complete at cacheLatS and skip routing.
+	// set of hits is a pure function of the query's identity. Hits
+	// complete at cacheLatS and skip routing.
 	cacheHR     float64
 	cacheLatS   float64
 	cacheStream uint64
@@ -986,8 +942,7 @@ type shardWork struct {
 	// Geo spill: remoteFrac > 0 marks that fraction of the stream as
 	// remote-origin queries a geo-router spilled into this region. Like
 	// cache hits, membership is a deterministic Bernoulli draw (on
-	// remoteStream) hashed from the query's identity, so shard layout
-	// can never change which queries are remote. Remote queries pay
+	// remoteStream) hashed from the query's identity. Remote queries pay
 	// remoteRTTS on top of serving (or cache-hit) latency and are
 	// counted separately served/dropped.
 	remoteFrac    float64
@@ -996,12 +951,15 @@ type shardWork struct {
 	remoteServed  int
 	remoteDropped int
 
-	// trace stages this shard's sampled lifecycle events (single
-	// writer: exactly this shard during the interval); the engine
-	// drains it in deterministic shard order afterwards. traceOn gates
+	// trace stages this task's sampled lifecycle events (single
+	// writer: exactly this task during the interval); door stages the
+	// engine-level events built ahead of the replay (the interval's
+	// offer record, arrival+shed pairs of sampled shed queries). The
+	// engine drains both in model-name order afterwards. traceOn gates
 	// every tracing branch so the untraced replay pays one boolean test
 	// per query.
 	trace   telemetry.ShardBuf
+	door    telemetry.ShardBuf
 	traceOn bool
 
 	// useSketch selects the sketch-based tail path: latencies stream
@@ -1010,20 +968,21 @@ type shardWork struct {
 	useSketch bool
 
 	// outputs
-	winLatS  [][]float64    // per-window latency samples (seconds)
+	winLatMS [][]float64    // per-window latency samples (ms)
 	winSk    []stats.Sketch // per-window sketches (ms), when useSketch
 	winDrops []int
 	dropped  int
+	shed     int // queries rejected at the door
 	hits     int // queries the cache tier served
 }
 
-// reset re-arms a pooled shard for an interval with the given window
+// reset re-arms a pooled task for an interval with the given window
 // count, reusing every backing array. Tracing is re-armed separately
-// (the engine arms trace/traceOn per model).
-func (w *shardWork) reset(windows int, useSketch bool) {
-	w.insts = w.insts[:0]
+// (the engine arms trace/door/traceOn per model).
+func (w *poolTask) reset(windows int, useSketch bool) {
 	w.queries = w.queries[:0]
 	w.dropped = 0
+	w.shed = 0
 	w.hits = 0
 	w.cacheHR = 0
 	w.remoteFrac, w.remoteRTTS = 0, 0
@@ -1031,12 +990,12 @@ func (w *shardWork) reset(windows int, useSketch bool) {
 	w.windows = windows
 	w.traceOn = false
 	w.useSketch = useSketch
-	for cap(w.winLatS) < windows {
-		w.winLatS = append(w.winLatS[:cap(w.winLatS)], nil)
+	for cap(w.winLatMS) < windows {
+		w.winLatMS = append(w.winLatMS[:cap(w.winLatMS)], nil)
 	}
-	w.winLatS = w.winLatS[:windows]
-	for i := range w.winLatS {
-		w.winLatS[i] = w.winLatS[i][:0]
+	w.winLatMS = w.winLatMS[:windows]
+	for i := range w.winLatMS {
+		w.winLatMS[i] = w.winLatMS[i][:0]
 	}
 	if useSketch {
 		for cap(w.winSk) < windows {
@@ -1067,15 +1026,14 @@ func armSketch(s *stats.Sketch) {
 }
 
 // observe records one served query's latency into its observation
-// window — the exact sample buffer, or the window's quantile sketch
-// (in milliseconds, the unit every tail threshold uses) on the sketch
-// path.
-func (w *shardWork) observe(wi int, latS float64) {
+// window — the exact sample buffer, or the window's quantile sketch —
+// in milliseconds, the unit every tail threshold uses.
+func (w *poolTask) observe(wi int, latS float64) {
 	if w.useSketch {
 		w.winSk[wi].Add(latS * 1e3)
 		return
 	}
-	w.winLatS[wi] = append(w.winLatS[wi], latS)
+	w.winLatMS[wi] = append(w.winLatMS[wi], latS*1e3)
 }
 
 // cacheServe runs one query through the cache tier: a hit completes at
@@ -1083,7 +1041,7 @@ func (w *shardWork) observe(wi int, latS float64) {
 // geo spill), counts as served, and never reaches a router (nor a
 // drop — the tier sits ahead of the pool-empty check). Returns whether
 // the query was served there.
-func (w *shardWork) cacheServe(q workload.Query, wi int, sampled bool, rttS float64) bool {
+func (w *poolTask) cacheServe(q workload.Query, wi int, sampled bool, rttS float64) bool {
 	if w.cacheHR <= 0 || !cacheHit(w.cacheStream, q.ID, w.cacheHR) {
 		return false
 	}
@@ -1099,7 +1057,7 @@ func (w *shardWork) cacheServe(q workload.Query, wi int, sampled bool, rttS floa
 // traceServed emits the service-side events of one sampled query:
 // enqueue (queue wait), start (with batch size), end (service span)
 // and complete (total latency).
-func (w *shardWork) traceServed(qid int64, instID int, arrS, startS, doneS float64, batch int) {
+func (w *poolTask) traceServed(qid int64, instID int, arrS, startS, doneS float64, batch int) {
 	ev := w.trace.Emit(telemetry.KindEnqueue, qid, startS)
 	ev.Instance = int32(instID)
 	ev.Value = startS - arrS
@@ -1122,7 +1080,58 @@ func (w *shardWork) traceServed(qid int64, instID int, arrS, startS, doneS float
 // query's own arrival instant. Pools mix batched and unbatched
 // instances (each pair derives its own batch cap from the measured
 // efficiency curve), so the loop branches per pick.
-func (w *shardWork) run() {
+// admit builds the task's query stream: the recorded arrivals, or a
+// fresh generator's, thinned in place by the door's shed fraction.
+// With tracing on, the door buffer records the interval's offer (the
+// offered load and slice the replay provisioned with — what lets a
+// recorded trace re-provision identically on re-ingestion), then
+// arrival+shed pairs of sampled shed queries.
+func (w *poolTask) admit() {
+	var queries []workload.Query
+	if w.fromTrace {
+		// Copied: the shed thinning below works in place.
+		queries = append(w.queries[:0], w.recorded...)
+	} else {
+		gen := workload.NewGenerator(w.model, w.qps, w.genSeed)
+		if w.sizeScale != 1 {
+			// Shift the lognormal's median: the mix rotation makes every
+			// query sizeScale× heavier without touching the arrival
+			// process.
+			gen.Sizes.Mu += math.Log(w.sizeScale)
+		}
+		queries = gen.AppendUntil(w.queries[:0], w.sliceS)
+	}
+	if w.traceOn {
+		ev := w.door.Emit(telemetry.KindOffer, -1, 0)
+		ev.Value = w.qps
+		ev.Aux = w.sliceS
+	}
+	if w.shedFrac > 0 {
+		// Admission control drops a deterministic Bernoulli thinning of
+		// the stream; shed queries never reach a router.
+		shedR := stats.NewRand(w.shedSeed)
+		kept := queries[:0]
+		for _, q := range queries {
+			if shedR.Float64() < w.shedFrac {
+				w.shed++
+				if w.traceOn && w.door.Sampled(q.ID) {
+					ev := w.door.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
+					ev.Value = float64(q.Size)
+					ev.Aux = q.SparseScale
+					ev = w.door.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
+					ev.Value = w.shedFrac
+				}
+				continue
+			}
+			kept = append(kept, q)
+		}
+		queries = kept
+	}
+	w.queries = queries
+}
+
+func (w *poolTask) run() {
+	w.admit()
 	router := w.newRouter()
 	rng := stats.NewRand(w.seed)
 	for _, in := range w.insts {
@@ -1247,7 +1256,7 @@ func (w *shardWork) run() {
 // A completion's remote-origin verdict re-draws on its query ID — the
 // same draw its arrival made — so deferred dispatch cannot change
 // which queries pay RTT.
-func (w *shardWork) record(instID int, comps []Completion) {
+func (w *poolTask) record(instID int, comps []Completion) {
 	for _, c := range comps {
 		wi := stats.ClampInt(int(c.ArrivalS/w.windowW), 0, w.windows-1)
 		rtt := 0.0
@@ -1262,20 +1271,18 @@ func (w *shardWork) record(instID int, comps []Completion) {
 	}
 }
 
-// replayInterval simulates one interval's sampled slice and
-// extrapolates interval metrics. eff carries the interval's scenario
-// traffic effects: query-size mix shifts rescale each generator's size
-// distribution, and shed fractions thin the admitted stream before
-// routing (loads arrive already scaled by the caller; fleet effects are
-// already baked into insts). A non-nil adj marks the inbound share of
-// each model's load as remote-origin geo spill paying adj.rttS.
-func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64, insts map[string][]*Instance, eff scenario.Effects, adj *geoAdjust) IntervalStats {
-	ist := IntervalStats{
-		Index:      idx,
-		TimeH:      float64(idx) * stepS / 3600,
-		ModelP95MS: make(map[string]float64),
-		ModelP99MS: make(map[string]float64),
-	}
+// buildTasks sizes interval idx's sampled slice and arms one replay
+// task per model, in model-name order: each task owns the model's
+// whole effective pool and builds its own query stream when it runs —
+// generated (or recorded), then thinned by admission before routing.
+// eff carries the interval's scenario traffic effects: query-size mix
+// shifts rescale each generator's size distribution, and shed
+// fractions thin the admitted stream (loads arrive already scaled by
+// the caller; fleet effects are already baked into pools). A non-nil adj marks the inbound share of
+// each model's load as remote-origin geo spill paying adj.rttS. No
+// offered load yields no tasks.
+func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string][]*Instance, eff scenario.Effects, adj *geoAdjust) []*poolTask {
+	ist := &e.run.ist
 	names := make([]string, 0, len(loads))
 	for m := range loads {
 		names = append(names, m)
@@ -1290,7 +1297,7 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 	}
 	ist.OfferedQPS = totalLoad
 	if totalLoad <= 0 {
-		return ist
+		return nil
 	}
 
 	// Size the slice: full offered rate, bounded total queries. A
@@ -1309,96 +1316,55 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 	windows := stats.ClampInt(int(sliceS/e.Opts.WindowS), 2, 600)
 	windowW := sliceS / float64(windows)
 	ist.Windows = windows
+	e.run.sliceS = sliceS
 
-	// Build shard tasks: queries are generated sequentially per model
-	// and thinned onto shards by deterministic draws, which preserves
-	// the Poisson property per shard and makes parallel replay
-	// bit-identical to sequential replay. Shard structs, query slices
-	// and window buckets all come from the engine's scratch pool.
-	shardCap := e.Opts.Shards
-	if shardCap <= 0 {
-		shardCap = runtime.NumCPU()
-	}
 	tr := e.Tracer
-	useSketch := e.Opts.SketchTails
 	scr := &e.scratch
-	scr.used = 0
-	scr.tasks = scr.tasks[:0]
+	for len(scr.tasks) < len(names) {
+		scr.tasks = append(scr.tasks, &poolTask{})
+	}
+	tasks := scr.tasks[:len(names)]
 	cacheLatS := e.Cache.latencyS()
-	starts := make([]int, len(names)+1)
 	for mi, m := range names {
-		pool := insts[m]
-		sla := e.models[m].SLATargetMS
+		t := tasks[mi]
+		t.reset(windows, e.Opts.SketchTails)
 		mh := hashString(m)
-		cacheHR := 0.0
+		t.modelName = m
+		t.slaMS = e.models[m].SLATargetMS
+		t.insts = pools[m]
+		t.newRouter = e.newRouter
+		// The <<8 is part of every recorded routing stream: changing it
+		// re-rolls the golden replays.
+		t.seed = mixSeed(e.Opts.Seed, int64(idx), int64(mi)<<8)
+		t.windowW = windowW
+		t.sliceS = sliceS
+		t.maxBatch = max(e.Opts.MaxBatch, 1)
 		if e.cacheActive {
-			cacheHR = e.cacheAdvance(m, eff)
+			t.cacheHR = e.cacheAdvance(m, eff)
 		}
-		remoteFrac, remoteRTTS := 0.0, 0.0
-		var remoteStream uint64
+		t.cacheLatS = cacheLatS
+		t.cacheStream = cacheStreamSeed(e.Opts.Seed, idx, mh)
 		if adj != nil && adj.inbound[m] > 0 && loads[m] > 0 {
-			remoteFrac = math.Min(adj.inbound[m]/loads[m], 1)
-			remoteRTTS = adj.rttS
-			remoteStream = remoteStreamSeed(e.Opts.Seed, idx, mh)
+			t.remoteFrac = math.Min(adj.inbound[m]/loads[m], 1)
+			t.remoteRTTS = adj.rttS
+			t.remoteStream = remoteStreamSeed(e.Opts.Seed, idx, mh)
 		}
-		n := max(min(shardCap, len(pool)), 1)
-		starts[mi] = len(scr.tasks)
-		for s := 0; s < n; s++ {
-			sh := scr.shard()
-			sh.reset(windows, useSketch)
-			sh.modelName = m
-			sh.slaMS = sla
-			sh.newRouter = e.newRouter
-			sh.seed = mixSeed(e.Opts.Seed, int64(idx), int64(mi)<<8|int64(s))
-			sh.windowW = windowW
-			sh.sliceS = sliceS
-			sh.maxBatch = max(e.Opts.MaxBatch, 1)
-			sh.cacheHR = cacheHR
-			sh.cacheLatS = cacheLatS
-			sh.cacheStream = cacheStreamSeed(e.Opts.Seed, idx, mh)
-			sh.remoteFrac = remoteFrac
-			sh.remoteRTTS = remoteRTTS
-			sh.remoteStream = remoteStream
-			if tr != nil {
-				sh.trace.Arm(tr, idx, m, mh)
-				sh.traceOn = true
-			}
-			scr.tasks = append(scr.tasks, sh)
-		}
-		shards := scr.tasks[starts[mi]:]
-		for j, in := range pool {
-			shards[j%n].insts = append(shards[j%n].insts, in)
-		}
-		var queries []workload.Query
-		if e.TraceSrc != nil {
-			// Recorded arrivals, copied before the in-place shed thinning
-			// below. Mix shifts are skipped along with load scaling — both
-			// are already baked into the recorded stream.
-			queries = append(scr.queries[:0], e.TraceSrc.Queries(idx, m)...)
-		} else {
-			gen := workload.NewGenerator(e.models[m], loads[m], mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi)))
-			if sc := eff.Size(m); sc != 1 {
-				// Shift the lognormal's median: the mix rotation makes every
-				// query sc× heavier without touching the arrival process.
-				gen.Sizes.Mu += math.Log(sc)
-			}
-			queries = gen.AppendUntil(scr.queries[:0], sliceS)
-		}
-		scr.queries = queries[:0]
-		// The model's engine-level trace stream: the interval's offer
-		// record (the offered load and slice the replay provisioned with
-		// — what lets a recorded trace re-provision identically on
-		// re-ingestion), then arrival+shed pairs of sampled shed queries.
-		// Staged per model and ingested ahead of the shard events, all on
-		// the replay goroutine, so the order is deterministic.
-		var shedBuf *telemetry.ShardBuf
 		if tr != nil {
-			scr.shedBuf.Arm(tr, idx, m, mh)
-			shedBuf = &scr.shedBuf
-			ev := shedBuf.Emit(telemetry.KindOffer, -1, 0)
-			ev.Value = loads[m]
-			ev.Aux = sliceS
+			t.trace.Arm(tr, idx, m, mh)
+			t.door.Arm(tr, idx, m, mh)
+			t.traceOn = true
 		}
+		// The task builds its own stream when it runs (admit).
+		t.fromTrace = e.TraceSrc != nil
+		if t.fromTrace {
+			// Mix shifts are skipped along with load scaling — both are
+			// already baked into the recorded stream.
+			t.recorded = e.TraceSrc.Queries(idx, m)
+		}
+		t.model = e.models[m]
+		t.qps = loads[m]
+		t.genSeed = mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi))
+		t.sizeScale = eff.Size(m)
 		// Two shedding sources compose at the door: the scenario's
 		// load-shedding drills and the engine's admission policy (which
 		// conditions on what the previous interval observed). Independent
@@ -1408,7 +1374,7 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			prev := e.prevObs[m]
 			sig := AdmissionSignal{
 				Model:        m,
-				SLATargetMS:  sla,
+				SLATargetMS:  t.slaMS,
 				OfferedQPS:   loads[m],
 				PrevP99MS:    prev.p99MS,
 				PrevDropFrac: prev.dropFrac,
@@ -1422,70 +1388,139 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			af = math.Min(math.Max(af, 0), 0.95)
 			frac = 1 - (1-frac)*(1-af)
 		}
-		if frac > 0 {
-			// Admission control drops a deterministic Bernoulli thinning
-			// of the stream (in place); shed queries never reach a router.
-			shedR := stats.NewRand(mixSeed(e.Opts.Seed, 0x5ed0+int64(idx), int64(mi)))
-			kept := queries[:0]
-			for _, q := range queries {
-				if shedR.Float64() < frac {
-					ist.Shed++
-					if shedBuf != nil && shedBuf.Sampled(q.ID) {
-						ev := shedBuf.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
-						ev.Value = float64(q.Size)
-						ev.Aux = q.SparseScale
-						ev = shedBuf.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
-						ev.Value = frac
-					}
-					continue
+		t.shedFrac = frac
+		t.shedSeed = mixSeed(e.Opts.Seed, 0x5ed0+int64(idx), int64(mi))
+	}
+	return tasks
+}
+
+// runInterval replays the prepared interval of every engine and
+// finishes the engines in order. All their pool tasks share one set of
+// min(GOMAXPROCS, tasks) worker goroutines; the calling goroutine
+// finishes each engine as soon as that engine's own tasks have run,
+// overlapping the replay of later engines' tasks. Each task owns its
+// pool, its query stream and its seeded RNG streams, so the worker
+// count and the dispatch order are scheduling choices only: results
+// are the same on any host. Tasks are dispatched engine by engine,
+// each engine's longest first by offered load (its tasks share one
+// slice, so load orders them by query count), which keeps an engine's
+// tail short when one model's stream dominates.
+func runInterval(engines []*Engine) {
+	var order []*poolTask
+	for g, e := range engines {
+		start := len(order)
+		order = append(order, e.run.tasks...)
+		slices.SortFunc(order[start:], func(a, b *poolTask) int { return cmp.Compare(b.qps, a.qps) })
+		for _, t := range order[start:] {
+			t.group = g
+		}
+	}
+	//lint:allow wallclock the worker count schedules independent tasks; it never reaches a result
+	workers := min(runtime.GOMAXPROCS(0), len(order))
+	if workers <= 1 {
+		for _, e := range engines {
+			for _, t := range e.run.tasks {
+				t.run()
+			}
+			e.finishInterval()
+		}
+		return
+	}
+	left := make([]atomic.Int32, len(engines))
+	for g, e := range engines {
+		left[g].Store(int32(len(e.run.tasks)))
+	}
+	done := make(chan int, len(engines)) // one notice per engine: sends never block
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
+				t := order[i]
+				t.run()
+				if left[t.group].Add(-1) == 0 {
+					done <- t.group
+					// Yield so the waiting caller finishes the engine now,
+					// not once this worker runs out of tasks.
+					runtime.Gosched()
 				}
-				kept = append(kept, q)
 			}
-			queries = kept
+		}()
+	}
+	ready := make([]bool, len(engines))
+	for g, e := range engines {
+		for len(e.run.tasks) > 0 && !ready[g] {
+			ready[<-done] = true
 		}
-		if shedBuf != nil {
-			tr.Ingest(shedBuf.Events())
-		}
-		split := stats.NewRand(mixSeed(e.Opts.Seed, 0x517+int64(idx), int64(mi)))
-		for _, q := range queries {
-			s := 0
-			if n > 1 {
-				s = split.Intn(n)
+		e.finishInterval()
+	}
+	wg.Wait()
+}
+
+// finishInterval completes the interval prepareInterval began once its
+// tasks have run (runInterval calls it): drain the staged trace events in model-name order and
+// flush the tracer, merge the tails, sweep energy, price carbon, publish
+// the interval to the observers and latch the autoscaler and
+// fleet-health signals for the next boundary.
+func (e *Engine) finishInterval() {
+	r := e.run
+	ist := &r.ist
+	if len(r.tasks) > 0 {
+		// Flushing per interval streams exports instead of accumulating
+		// a day.
+		if tr := e.Tracer; tr != nil {
+			for _, t := range r.tasks {
+				tr.Ingest(t.door.Events())
 			}
-			shards[s].queries = append(shards[s].queries, q)
+			for _, t := range r.tasks {
+				tr.Ingest(t.trace.Events())
+			}
+			tr.Flush()
 		}
+		e.mergeTails(r.tasks)
+		e.sweepEnergy(r.tasks)
 	}
-	starts[len(names)] = len(scr.tasks)
-
-	// Execute: the day's bounded worker pool, or in place when
-	// sequential (results are bit-identical either way).
-	if scr.work == nil || len(scr.tasks) == 1 {
-		for _, t := range scr.tasks {
-			t.run()
-		}
-	} else {
-		scr.wg.Add(len(scr.tasks))
-		for _, t := range scr.tasks {
-			scr.work <- t
-		}
-		scr.wg.Wait()
+	if e.gridTL != nil {
+		ist.GridGPerKWh = e.gridTL.At(ist.Index)
+		ist.CarbonG = power.CarbonG(ist.EnergyKJ, ist.GridGPerKWh)
+	}
+	for _, o := range r.sinks {
+		o.ObserveInterval(*ist)
 	}
 
-	// Drain staged trace events in deterministic task order — the same
-	// order sequential execution produced them in — and flush the
-	// interval to the sinks, so exports stream per interval instead of
-	// accumulating a day.
-	if tr != nil {
-		for _, t := range scr.tasks {
-			tr.Ingest(t.trace.Events())
+	r.earlyPending, r.extraR = false, 0
+	if e.Scaler != nil {
+		if g, ok := e.Scaler.(GridObserver); ok && e.gridTL != nil {
+			// The next interval's intensity plays the role of the
+			// day-ahead forecast a grid operator publishes (At wraps at
+			// the day boundary), judged against the day's mean.
+			g.ObserveGrid(e.gridTL.At(ist.Index+1), e.gridTL.MeanG())
 		}
-		tr.Flush()
+		r.earlyPending, r.extraR = e.Scaler.IntervalEnd()
 	}
+	if !r.eff.SameFleetState(r.knownFleet) {
+		// Health checks noticed servers dying or returning during
+		// this interval: re-provision at the next boundary against
+		// the new availability.
+		r.knownFleet = r.eff
+		r.earlyPending = true
+	}
+}
 
-	// Merge: per-model windowed tails drive breach verdicts; the
-	// aggregate distribution drives the interval percentiles. Latencies
-	// flow through reused flat buffers — window, model, interval — each
-	// sorted once for its percentile reads.
+// mergeTails folds the tasks' latency windows into the interval's
+// stats: per-model windowed tails drive breach verdicts, per-model
+// tails feed next interval's admission signal, and the aggregate
+// distribution drives the interval percentiles. The exact path selects
+// percentiles straight from the tasks' window buffers (gathered into
+// one flat buffer, a model's windows contiguous); the sketch path
+// merges window sketches bucket-wise.
+func (e *Engine) mergeTails(tasks []*poolTask) {
+	r := e.run
+	ist := &r.ist
+	scr := &e.scratch
+	windows := ist.Windows
 	tailPct, slaFactor := 95.0, 1.0
 	if e.Scaler != nil {
 		tp, sf := e.Scaler.Thresholds()
@@ -1503,101 +1538,59 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 	for i := range breached {
 		breached[i] = false
 	}
+	useSketch := e.Opts.SketchTails
+	allBuf := scr.allBuf[:0]
 	if useSketch {
-		// Sketch path: per-window shard sketches merge (bucket-wise,
-		// order-independent — parallel keeps byte identity) into a
-		// window sketch for the breach verdict, fold into the model
-		// sketch for per-model tails, and the model sketches fold into
-		// the interval sketch. No latency sample is ever buffered.
 		armSketch(&scr.allSk)
-		for mi, m := range names {
-			shards := scr.tasks[starts[mi]:starts[mi+1]]
-			sla := e.models[m].SLATargetMS
+	}
+	for _, t := range tasks {
+		m := t.modelName
+		limit := t.slaMS * slaFactor
+		if useSketch {
 			armSketch(&scr.modelSk)
-			for w := 0; w < windows; w++ {
-				armSketch(&scr.winSk)
-				drops := 0
-				for _, sh := range shards {
-					scr.winSk.Merge(&sh.winSk[w])
-					drops += sh.winDrops[w]
-				}
-				if drops > 0 || (scr.winSk.Count() > 0 && scr.winSk.Quantile(tailPct) > sla*slaFactor) {
+			for w := range t.winSk {
+				sk := &t.winSk[w]
+				if t.winDrops[w] > 0 || (sk.Count() > 0 && sk.Quantile(tailPct) > limit) {
 					breached[w] = true
 				}
-				scr.modelSk.Merge(&scr.winSk)
-			}
-			mQueries, mDrops, mHits := 0, 0, 0
-			for _, sh := range shards {
-				mQueries += len(sh.queries)
-				mDrops += sh.dropped
-				mHits += sh.hits
-				ist.SpillInServed += sh.remoteServed
-				ist.SpillInDropped += sh.remoteDropped
-			}
-			ist.Queries += mQueries
-			ist.Drops += mDrops
-			ist.CacheHits += mHits
-			if e.cacheActive {
-				e.cacheFill(m, mQueries-mDrops-mHits, mHits, mQueries, stepS/sliceS)
+				scr.modelSk.Merge(sk)
 			}
 			ist.ModelP95MS[m] = scr.modelSk.Quantile(95)
 			ist.ModelP99MS[m] = scr.modelSk.Quantile(99)
-			obs := modelObs{p99MS: ist.ModelP99MS[m]}
-			if mQueries > 0 {
-				obs.dropFrac = float64(mDrops) / float64(mQueries)
-			}
-			e.prevObs[m] = obs
 			scr.allSk.Merge(&scr.modelSk)
+		} else {
+			start := len(allBuf)
+			for w, win := range t.winLatMS {
+				allBuf = append(allBuf, win...)
+				if t.winDrops[w] > 0 || (len(win) > 0 && stats.PercentileSelect(win, tailPct) > limit) {
+					breached[w] = true
+				}
+			}
+			ist.ModelP95MS[m] = stats.PercentileSelect(allBuf[start:], 95)
+			ist.ModelP99MS[m] = stats.PercentileSelect(allBuf[start:], 99)
 		}
+		queries := len(t.queries)
+		ist.Shed += t.shed
+		ist.Queries += queries
+		ist.Drops += t.dropped
+		ist.CacheHits += t.hits
+		ist.SpillInServed += t.remoteServed
+		ist.SpillInDropped += t.remoteDropped
+		if e.cacheActive {
+			e.cacheFill(m, queries-t.dropped-t.hits, t.hits, queries, r.stepS/r.sliceS)
+		}
+		// Record what admission policies may condition on next interval.
+		obs := modelObs{p99MS: ist.ModelP99MS[m]}
+		if queries > 0 {
+			obs.dropFrac = float64(t.dropped) / float64(queries)
+		}
+		e.prevObs[m] = obs
+	}
+	if useSketch {
 		ist.P50MS = scr.allSk.Quantile(50)
 		ist.P95MS = scr.allSk.Quantile(95)
 		ist.P99MS = scr.allSk.Quantile(99)
 	} else {
-		allBuf := scr.allBuf[:0]
-		for mi, m := range names {
-			shards := scr.tasks[starts[mi]:starts[mi+1]]
-			sla := e.models[m].SLATargetMS
-			mBuf := scr.modelBuf[:0]
-			for w := 0; w < windows; w++ {
-				winBuf := scr.winBuf[:0]
-				drops := 0
-				for _, sh := range shards {
-					for _, l := range sh.winLatS[w] {
-						winBuf = append(winBuf, l*1e3)
-					}
-					drops += sh.winDrops[w]
-				}
-				mBuf = append(mBuf, winBuf...)
-				if drops > 0 || (len(winBuf) > 0 && stats.PercentileSelect(winBuf, tailPct) > sla*slaFactor) {
-					breached[w] = true
-				}
-				scr.winBuf = winBuf[:0]
-			}
-			mQueries, mDrops, mHits := 0, 0, 0
-			for _, sh := range shards {
-				mQueries += len(sh.queries)
-				mDrops += sh.dropped
-				mHits += sh.hits
-				ist.SpillInServed += sh.remoteServed
-				ist.SpillInDropped += sh.remoteDropped
-			}
-			ist.Queries += mQueries
-			ist.Drops += mDrops
-			ist.CacheHits += mHits
-			if e.cacheActive {
-				e.cacheFill(m, mQueries-mDrops-mHits, mHits, mQueries, stepS/sliceS)
-			}
-			allBuf = append(allBuf, mBuf...)
-			ist.ModelP95MS[m] = stats.PercentileSelect(mBuf, 95)
-			ist.ModelP99MS[m] = stats.PercentileSelect(mBuf, 99)
-			// Record what admission policies may condition on next interval.
-			obs := modelObs{p99MS: ist.ModelP99MS[m]}
-			if mQueries > 0 {
-				obs.dropFrac = float64(mDrops) / float64(mQueries)
-			}
-			e.prevObs[m] = obs
-			scr.modelBuf = mBuf[:0]
-		}
 		ist.P50MS = stats.PercentileSelect(allBuf, 50)
 		ist.P95MS = stats.PercentileSelect(allBuf, 95)
 		ist.P99MS = stats.PercentileSelect(allBuf, 99)
@@ -1607,9 +1600,9 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 		if ist.Queries > 0 {
 			ist.CacheHitRate = float64(ist.CacheHits) / float64(ist.Queries)
 		}
-		ist.CacheWarmth = make(map[string]float64, len(names))
-		for _, m := range names {
-			ist.CacheWarmth[m] = e.cacheWarmth[m]
+		ist.CacheWarmth = make(map[string]float64, len(tasks))
+		for _, t := range tasks {
+			ist.CacheWarmth[t.modelName] = e.cacheWarmth[t.modelName]
 		}
 	}
 	for _, b := range breached {
@@ -1620,23 +1613,27 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			e.Scaler.ObserveWindow(b)
 		}
 	}
-	ist.ViolationMin = stepS / 60 * float64(ist.WindowsBreached) / float64(windows)
+	ist.ViolationMin = r.stepS / 60 * float64(ist.WindowsBreached) / float64(windows)
+}
 
-	// Energy: every activated instance idles for the whole interval and
-	// adds utilization-proportional dynamic power up to its profiled
-	// provisioned budget. The same sweep yields the fleet's mean
-	// channel utilization for utilization-driven scalers.
+// sweepEnergy prices the interval's energy: every activated instance
+// idles for the whole interval and adds utilization-proportional
+// dynamic power up to its profiled provisioned budget. The same sweep
+// yields the fleet's mean channel utilization for utilization-driven
+// scalers.
+func (e *Engine) sweepEnergy(tasks []*poolTask) {
+	r := e.run
 	var watts, utilSum float64
 	nInsts := 0
-	capW := e.powercapPerServerW(eff)
-	for _, m := range names {
-		for _, in := range insts[m] {
+	capW := e.powercapPerServerW(r.eff)
+	for _, t := range tasks {
+		for _, in := range t.insts {
 			idle := e.idleWatts(in.Type)
 			peak := idle
 			if entry, ok := e.Table.Get(in.Type, in.Model); ok {
 				peak = math.Max(entry.PowerW, idle)
 			}
-			u := in.Utilization(sliceS)
+			u := in.Utilization(r.sliceS)
 			w := idle + (peak-idle)*u
 			if cw, ok := capW[in.Type]; ok && w > cw {
 				// The powercap is physical: whatever the workload wants,
@@ -1648,11 +1645,10 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			nInsts++
 		}
 	}
-	ist.EnergyKJ = watts * stepS / 1e3
+	r.ist.EnergyKJ = watts * r.stepS / 1e3
 	if uo, ok := e.Scaler.(UtilizationObserver); ok && nInsts > 0 {
 		uo.ObserveUtilization(utilSum / float64(nInsts))
 	}
-	return ist
 }
 
 // SliceResult is ReplaySlice's accounting. LatS holds one latency per
@@ -1667,7 +1663,7 @@ type SliceResult struct {
 
 // ReplaySlice routes one query stream (in arrival order) over the
 // given instances with a fresh router of the given registered name —
-// the single-shard building block RunDay composes, exported for tests
+// the single-pool building block RunDay composes, exported for tests
 // and tools that want router behavior without provisioning. Batching
 // instances (EnableBatching) are served through the dynamic-batching
 // path, including the end-of-slice drain of forming batches. An
@@ -1734,7 +1730,7 @@ func hashString(s string) int64 {
 }
 
 // mixSeed derives a deterministic sub-seed (splitmix64-style) so
-// intervals, models and shards draw from independent streams.
+// intervals and models draw from independent streams.
 func mixSeed(seed int64, vals ...int64) int64 {
 	h := uint64(seed) ^ 0x9E3779B97F4A7C15
 	for _, v := range vals {

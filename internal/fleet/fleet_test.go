@@ -302,34 +302,6 @@ func TestAutoscalerTriggersEarlyReprovision(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	ws := []cluster.Workload{{
-		Model: "DLRM-RMC1",
-		Trace: stepTrace(800, 1200, 1600, 2000, 1600, 1200, 800, 600),
-	}}
-	optsSeq := testOpts()
-	optsSeq.Shards = 4
-	optsSeq.Sequential = true
-	optsPar := optsSeq
-	optsPar.Sequential = false
-
-	seq, err := testEngine(LeastOutstanding, optsSeq).RunDay(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := testEngine(LeastOutstanding, optsPar).RunDay(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel replay must be bit-identical to sequential:\nseq: %+v\npar: %+v",
-			seq, par)
-	}
-	if seq.TotalQueries == 0 {
-		t.Fatal("replay served nothing")
-	}
-}
-
 func TestRunDayAccounting(t *testing.T) {
 	ws := []cluster.Workload{{
 		Model: "DLRM-RMC1",
@@ -519,38 +491,6 @@ func TestBatchedCapacityRule(t *testing.T) {
 	if in.Served+len(in.pendArr) != admitted || in.Dropped != dropped {
 		t.Fatalf("instance counters disagree: served=%d pending=%d dropped=%d",
 			in.Served, len(in.pendArr), in.Dropped)
-	}
-}
-
-// TestBatchedParallelMatchesSequential extends the determinism claim
-// to the dynamic-batching replay loop: with MaxBatch > 1 the parallel
-// worker-pool replay must stay bit-identical to the sequential one.
-func TestBatchedParallelMatchesSequential(t *testing.T) {
-	ws := []cluster.Workload{{
-		Model: "DLRM-RMC1",
-		Trace: stepTrace(800, 1600, 2400, 1600, 800, 400),
-	}}
-	run := func(sequential bool) DayResult {
-		opts := testOpts()
-		opts.Shards = 4
-		opts.MaxBatch = 4
-		opts.BatchWaitS = 0.004
-		opts.Sequential = sequential
-		res, err := testEngine(WeightedHetero, opts).RunDay(ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, par1, par2 := run(true), run(false), run(false)
-	if !reflect.DeepEqual(par1, par2) {
-		t.Fatal("two batched parallel replays with the same seed diverged")
-	}
-	if !reflect.DeepEqual(seq, par1) {
-		t.Fatalf("batched parallel replay must match sequential:\nseq: %+v\npar: %+v", seq, par1)
-	}
-	if seq.TotalQueries == 0 {
-		t.Fatal("batched replay served nothing")
 	}
 }
 

@@ -128,7 +128,7 @@ func (spillGeo) Route(sig GeoSignal) [][]float64 {
 // decision stream, the geo analogue of cacheStreamSeed: which queries
 // of a region's replayed slice are the spilled-in remote ones is a
 // pure function of (seed, interval, model, query ID), independent of
-// shard layout and scheduling.
+// scheduling.
 func remoteStreamSeed(seed int64, interval int, modelHash int64) uint64 {
 	return splitmix64(splitmix64(uint64(seed)^0x6E00B177^uint64(interval)) ^ uint64(modelHash))
 }

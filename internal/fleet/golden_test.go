@@ -9,14 +9,14 @@ import (
 	"hercules/internal/cluster"
 )
 
-// The golden replays in testdata/ were recorded by the pre-redesign
-// engine — the enum-based RouterKind path, before the policy registry,
-// Spec construction and Observer hooks existed. These tests are the
-// refactor's safety net: a registry-constructed engine must reproduce
-// those replays bit for bit (sequential and parallel, unbatched and
-// batched), proving the API redesign moved only the wiring, never the
-// simulation. Regenerate the goldens only when the replay semantics
-// change deliberately (document why in the commit).
+// The golden replays in testdata/ pin the replay bit for bit: one
+// routed pool per model, built through the registry, Spec construction
+// and Observer hooks (first recorded by the enum-based RouterKind
+// engine before those existed; re-recorded once when per-model pools
+// stopped being split into core-count shards). A refactor that keeps
+// them byte-identical moved only wiring, never the simulation.
+// Regenerate the goldens only when the replay semantics change
+// deliberately (document why in the commit).
 
 // constBatchSource is a batching-capable stub: constant 5 ms solo
 // service with an amortization curve steep enough that the engine
@@ -41,7 +41,7 @@ func goldenWorkloads() []cluster.Workload {
 	}}
 }
 
-// loadGolden reads a recorded pre-redesign DayResult.
+// loadGolden reads a recorded golden DayResult.
 func loadGolden(t *testing.T, path string) DayResult {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -67,44 +67,15 @@ func stripPostRedesign(res DayResult) DayResult {
 
 // TestGoldenReplayUnbatched: a registry-constructed engine (Spec →
 // NewEngine → registry router + "breach" scaler) must replay the
-// golden day byte-identically to the pre-redesign enum engine, on the
-// sequential path and on genuinely sharded parallel paths.
+// golden day byte-identically.
 func TestGoldenReplayUnbatched(t *testing.T) {
 	want := loadGolden(t, "testdata/golden_day.json")
-	for _, cfg := range []struct {
-		name       string
-		shards     int
-		sequential bool
-	}{
-		{"seq-4", 4, true},
-		{"par-4", 4, false},
-		{"par-8", 8, false},
-	} {
-		opts := testOpts()
-		opts.Shards = cfg.shards
-		opts.Sequential = cfg.sequential
-		got, err := testEngine(PowerOfTwo, opts).RunDay(goldenWorkloads())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.shards == 8 {
-			// The golden was recorded at 4 shards; 8 shards legitimately
-			// redistributes queries. Only the determinism claim applies:
-			// parallel must equal sequential at the same shard count.
-			optsSeq := opts
-			optsSeq.Sequential = true
-			seq, err := testEngine(PowerOfTwo, optsSeq).RunDay(goldenWorkloads())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Errorf("%s: parallel diverged from sequential", cfg.name)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(stripPostRedesign(got), want) {
-			t.Errorf("%s: registry-built engine diverged from the pre-redesign golden replay", cfg.name)
-		}
+	got, err := testEngine(PowerOfTwo, testOpts()).RunDay(goldenWorkloads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripPostRedesign(got), want) {
+		t.Error("registry-built engine diverged from the golden replay")
 	}
 }
 
@@ -112,22 +83,17 @@ func TestGoldenReplayUnbatched(t *testing.T) {
 // dynamic-batching replay loop (hetero router, batch cap 4).
 func TestGoldenReplayBatched(t *testing.T) {
 	want := loadGolden(t, "testdata/golden_day_batched.json")
-	for _, sequential := range []bool{true, false} {
-		opts := testOpts()
-		opts.Shards = 4
-		opts.MaxBatch = 4
-		opts.BatchWaitS = 0.004
-		opts.Sequential = sequential
-		e := testEngine(WeightedHetero, opts)
-		e.Service = constBatchSource{}
-		got, err := e.RunDay(goldenWorkloads())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripPostRedesign(got), want) {
-			t.Errorf("sequential=%v: batched registry-built engine diverged from the pre-redesign golden",
-				sequential)
-		}
+	opts := testOpts()
+	opts.MaxBatch = 4
+	opts.BatchWaitS = 0.004
+	e := testEngine(WeightedHetero, opts)
+	e.Service = constBatchSource{}
+	got, err := e.RunDay(goldenWorkloads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripPostRedesign(got), want) {
+		t.Error("batched registry-built engine diverged from the golden replay")
 	}
 }
 
@@ -137,7 +103,6 @@ func TestGoldenReplayBatched(t *testing.T) {
 // in-process run measured.
 func TestGoldenSpecJSONRoundTrip(t *testing.T) {
 	opts := testOpts()
-	opts.Shards = 4
 	// HeadroomR 0.05: the cluster-layer headroom the golden was
 	// recorded at (see testEngine).
 	spec := Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
@@ -170,6 +135,6 @@ func TestGoldenSpecJSONRoundTrip(t *testing.T) {
 		t.Fatal("spec JSON round trip changed the replay")
 	}
 	if !reflect.DeepEqual(stripPostRedesign(direct), loadGolden(t, "testdata/golden_day.json")) {
-		t.Fatal("spec-driven replay diverged from the pre-redesign golden")
+		t.Fatal("spec-driven replay diverged from the golden replay")
 	}
 }

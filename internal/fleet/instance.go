@@ -24,7 +24,7 @@ import "math"
 // original per-query replay bit for bit.
 //
 // Instances are not safe for concurrent use; the engine gives each
-// replay shard exclusive ownership of its instances.
+// model's replay task exclusive ownership of its pool.
 type Instance struct {
 	ID    int
 	Type  string // server type label ("T1".."T10")

@@ -12,11 +12,11 @@ import (
 // MultiEngine replays a multi-region day: one Engine per RegionSpec,
 // stepped in lockstep so the spec's geo policy can move load between
 // regions at every interval boundary. Each region synthesizes its own
-// phase-shifted diurnal population and runs its existing shard-
-// parallel replay unchanged; the geo layer only adjusts the offered
-// loads going in (spilled-out traffic leaves, spilled-in traffic
-// arrives carrying its inter-region RTT) and reads the interval
-// signals coming out.
+// phase-shifted diurnal population and replays it unchanged, its model
+// pools running concurrently with every other region's; the geo layer
+// only adjusts the offered loads going in (spilled-out traffic leaves,
+// spilled-in traffic arrives carrying its inter-region RTT) and reads
+// the interval signals coming out.
 type MultiEngine struct {
 	// Spec is the normalized multi-region spec the engines were built
 	// from.
@@ -169,22 +169,15 @@ func (me *MultiEngine) RunDay(wss [][]cluster.Workload) (DayResult, error) {
 	}
 
 	// beginDay every region before stepping any: each engine validates
-	// its workloads and starts its own worker pool; a failure tears
-	// down the pools already started.
-	began := 0
+	// its workloads.
 	fail := func(i int, err error) (DayResult, error) {
-		res := me.Engines[i].run.res
-		for k := 0; k < began; k++ {
-			me.Engines[k].endDay()
-		}
-		return res, fmt.Errorf("fleet: region %q: %w", names[i], err)
+		return me.Engines[i].run.res, fmt.Errorf("fleet: region %q: %w", names[i], err)
 	}
 	steps := 0
 	for i, eng := range me.Engines {
 		if err := eng.beginDay(wss[i]); err != nil {
 			return fail(i, err)
 		}
-		began++
 		if steps == 0 || eng.run.steps < steps {
 			steps = eng.run.steps
 		}
@@ -238,8 +231,12 @@ func (me *MultiEngine) RunDay(wss [][]cluster.Workload) (DayResult, error) {
 			if adj.keep == 1 && len(adj.inbound) == 0 {
 				adj = nil // untouched interval: replay exactly as single-region
 			}
-			eng.stepInterval(i, adj)
+			eng.prepareInterval(i, adj)
 		}
+		// Every region's pools replay on one set of workers; finishing
+		// in region order keeps observers and shared trace sinks
+		// deterministic.
+		runInterval(me.Engines)
 	}
 
 	days := make([]DayResult, len(me.Engines))

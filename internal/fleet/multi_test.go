@@ -16,7 +16,6 @@ import (
 // hours phase-shifted and absorbs the 1.5x survivor flash crowd.
 func regionsTestSpec(geo string) Spec {
 	opts := testOpts()
-	opts.Shards = 4
 	return Spec{
 		Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
 		HeadroomR: 0.05,
@@ -49,12 +48,9 @@ func newRegionsEngine(t *testing.T, spec Spec) *MultiEngine {
 	return me
 }
 
-func runRegions(t *testing.T, geo string, shards int, sequential bool) DayResult {
+func runRegions(t *testing.T, geo string) DayResult {
 	t.Helper()
-	spec := regionsTestSpec(geo)
-	spec.Options.Shards = shards
-	spec.Options.Sequential = sequential
-	res, err := newRegionsEngine(t, spec).RunDay(regionsWorkloads())
+	res, err := newRegionsEngine(t, regionsTestSpec(geo)).RunDay(regionsWorkloads())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +64,7 @@ func runRegions(t *testing.T, geo string, shards int, sequential bool) DayResult
 // UPDATE_GOLDEN=1 go test ./internal/fleet -run TestRegionsGoldenReplay
 // only when the replay semantics change deliberately.
 func TestRegionsGoldenReplay(t *testing.T) {
-	got := runRegions(t, GeoSpill, 4, true)
+	got := runRegions(t, GeoSpill)
 	const path = "testdata/golden_regions.json"
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		data, err := json.MarshalIndent(got, "", "  ")
@@ -87,26 +83,12 @@ func TestRegionsGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestRegionsParallelDeterminism: the lockstep multi-region replay
-// must keep the engine's core guarantee — parallel equals sequential
-// bit for bit — at every shard count, including through a blackout
-// with cross-region spill in force.
-func TestRegionsParallelDeterminism(t *testing.T) {
-	for _, shards := range []int{1, 4, 8} {
-		seq := runRegions(t, GeoSpill, shards, true)
-		par := runRegions(t, GeoSpill, shards, false)
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("shards=%d: parallel multi-region replay diverged from sequential", shards)
-		}
-	}
-}
-
 // TestRegionsSpillBeatsLocal is the failover claim itself: during a
 // full-region blackout, spilling to the survivor must serve traffic
 // the local-only policy can only drop.
 func TestRegionsSpillBeatsLocal(t *testing.T) {
-	local := runRegions(t, GeoLocal, 4, true)
-	spill := runRegions(t, GeoSpill, 4, true)
+	local := runRegions(t, GeoLocal)
+	spill := runRegions(t, GeoSpill)
 	if local.SpillInServed != 0 || local.SpillInDropped != 0 {
 		t.Errorf("local-only geo must never spill (served %d, dropped %d)",
 			local.SpillInServed, local.SpillInDropped)
@@ -139,7 +121,6 @@ func TestRegionsSpillBeatsLocal(t *testing.T) {
 // never results.
 func TestMultiEngineSingleRegionDelegates(t *testing.T) {
 	opts := testOpts()
-	opts.Shards = 4
 	spec := Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
 		HeadroomR: 0.05, Options: opts}
 	ws := goldenWorkloads()

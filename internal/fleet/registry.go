@@ -83,8 +83,8 @@ var (
 
 // RegisterRouter installs a routing-policy factory under a name,
 // making it selectable by Spec.Router, hercules-fleet -routers and the
-// experiment sweeps. The factory is invoked once per replay shard (a
-// Router may keep per-shard mutable state). It panics on a duplicate
+// experiment sweeps. The factory is invoked once per pool replay (a
+// Router may keep per-pool mutable state). It panics on a duplicate
 // name.
 func RegisterRouter(name string, factory func() Router) { routers.register(name, factory) }
 

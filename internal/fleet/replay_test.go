@@ -18,8 +18,7 @@ import (
 // NDJSON at sample 1) and re-ingested through fleet.TraceSource
 // reproduces the original DayResult byte for byte — same provisioning,
 // same shedding, same routing, same tails — and re-recording the
-// replayed day reproduces the trace bytes themselves. Identity is
-// pinned at shard caps 1, 4 and 8, sequential and parallel.
+// replayed day reproduces the trace bytes themselves.
 
 // replaySpec is the testEngine spec as a value the replay tests can
 // vary (scenario, admission, cache) before construction.
@@ -90,9 +89,8 @@ func replayDay(t *testing.T, spec Spec, rec []byte, stepS float64) ([]byte, DayR
 }
 
 // tinyDay is a day small enough that the greedy provisioner allocates a
-// single server every interval: the shard decomposition (n = min(cap,
-// pool) = 1) coincides at every shard cap, so ONE committed golden
-// arrival trace pins record bytes at shards 1, 4 and 8 simultaneously.
+// single server every interval, which keeps the committed golden
+// arrival trace small.
 func tinyDay() []cluster.Workload {
 	return []cluster.Workload{{Model: "DLRM-RMC1", Trace: stepTrace(50, 100, 150)}}
 }
@@ -103,21 +101,17 @@ func tinyOpts() Options {
 	return opts
 }
 
-// TestGoldenArrivalTrace: the recorded arrival trace of tinyDay must be
-// byte-identical across shard caps 1/4/8 (sequential and parallel) and
+// TestGoldenArrivalTrace: the recorded arrival trace of tinyDay must
 // match the committed golden — and re-ingesting the golden must
 // re-record it byte for byte. Regenerate with REGEN_GOLDEN_ARRIVALS=1.
 func TestGoldenArrivalTrace(t *testing.T) {
-	record := func(shards int, sequential bool) []byte {
-		opts := tinyOpts()
-		opts.Shards = shards
-		opts.Sequential = sequential
-		rec, _ := recordDay(t, replaySpec(PowerOfTwo, opts), tinyDay())
+	record := func() []byte {
+		rec, _ := recordDay(t, replaySpec(PowerOfTwo, tinyOpts()), tinyDay())
 		return rec
 	}
 	const golden = "testdata/golden_arrivals.ndjson"
 	if os.Getenv("REGEN_GOLDEN_ARRIVALS") != "" {
-		got := record(1, true)
+		got := record()
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -127,20 +121,8 @@ func TestGoldenArrivalTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name       string
-		shards     int
-		sequential bool
-	}{
-		{"seq-1", 1, true},
-		{"seq-4", 4, true},
-		{"par-4", 4, false},
-		{"par-8", 8, false},
-	} {
-		if got := record(cfg.shards, cfg.sequential); !bytes.Equal(got, want) {
-			t.Errorf("%s: recorded trace diverged from golden (%d vs %d bytes)",
-				cfg.name, len(got), len(want))
-		}
+	if got := record(); !bytes.Equal(got, want) {
+		t.Errorf("recorded trace diverged from golden (%d vs %d bytes)", len(got), len(want))
 	}
 	// Round trip: re-ingesting the golden re-records it byte for byte.
 	reRec, _ := replayDay(t, replaySpec(PowerOfTwo, tinyOpts()), want, 600)
@@ -154,7 +136,7 @@ func TestGoldenArrivalTrace(t *testing.T) {
 // re-applied as live policy), admission shedding under overload, and a
 // cache tier under a flush storm — record → replay must reproduce the
 // DayResult exactly (DeepEqual and JSON bytes) and re-record the trace
-// byte-identically, at shard caps 1, 4 and 8.
+// byte-identically.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	// Events span the tiny days' 30-minute horizon (hours 0–0.5).
 	const stormScenario = `{"name":"storm","events":[
@@ -177,26 +159,22 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		}, goldenTraceWorkloads()},
 	}
 	for _, v := range variants {
-		for _, shards := range []int{1, 4, 8} {
-			opts := testOpts()
-			opts.Shards = shards
-			spec := replaySpec(PowerOfTwo, opts)
-			v.prep(&spec)
-			rec, recRes := recordDay(t, spec, v.ws)
-			reRec, repRes := replayDay(t, spec, rec, 600)
-			if !reflect.DeepEqual(recRes, repRes) {
-				t.Errorf("%s/shards-%d: replayed DayResult diverged", v.name, shards)
-				continue
-			}
-			a, _ := json.Marshal(recRes)
-			b, _ := json.Marshal(repRes)
-			if !bytes.Equal(a, b) {
-				t.Errorf("%s/shards-%d: DayResult JSON diverged", v.name, shards)
-			}
-			if !bytes.Equal(rec, reRec) {
-				t.Errorf("%s/shards-%d: re-recorded trace diverged (%d vs %d bytes)",
-					v.name, shards, len(reRec), len(rec))
-			}
+		spec := replaySpec(PowerOfTwo, testOpts())
+		v.prep(&spec)
+		rec, recRes := recordDay(t, spec, v.ws)
+		reRec, repRes := replayDay(t, spec, rec, 600)
+		if !reflect.DeepEqual(recRes, repRes) {
+			t.Errorf("%s: replayed DayResult diverged", v.name)
+			continue
+		}
+		a, _ := json.Marshal(recRes)
+		b, _ := json.Marshal(repRes)
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: DayResult JSON diverged", v.name)
+		}
+		if !bytes.Equal(rec, reRec) {
+			t.Errorf("%s: re-recorded trace diverged (%d vs %d bytes)",
+				v.name, len(reRec), len(rec))
 		}
 	}
 	// Sanity: the variants exercised what they claim to.

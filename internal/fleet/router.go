@@ -72,9 +72,9 @@ func ParseRouter(s string) (string, error) {
 }
 
 // Router picks a destination among a model's instances for each query.
-// Implementations may keep per-shard state (e.g. a round-robin cursor)
+// Implementations may keep per-pool state (e.g. a round-robin cursor)
 // and are not safe for concurrent use: the engine instantiates a fresh
-// Router per replay shard through the registered factory.
+// Router per pool replay through the registered factory.
 type Router interface {
 	Name() string
 	// Pick returns the index of the chosen instance. The slice is

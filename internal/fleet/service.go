@@ -30,8 +30,7 @@ func serverByType(label string) (srv hw.Server, err error) {
 // ServiceSource supplies per-query service times for the fleet engine:
 // the time one server of the given type needs to serve one query of the
 // given model with the server otherwise idle. Implementations must be
-// safe for concurrent use (the parallel replay path calls from many
-// shard workers).
+// safe for concurrent use (model pools replay concurrently).
 type ServiceSource interface {
 	ServiceS(serverType, modelName string, size int, scale float64) float64
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -240,5 +242,33 @@ func TestEngineWorkloadsFollowSpec(t *testing.T) {
 	// 60 T2 servers at 200 QPS, 45% target: ~5400 QPS.
 	if autoPeak < 3000 || autoPeak > 7000 {
 		t.Errorf("auto-sized peak %v implausible for the test fleet", autoPeak)
+	}
+}
+
+// TestLegacyShardOptionsDecode: spec files written while Options had a
+// per-model shard cap and a sequential switch still decode (unknown
+// keys are ignored) and replay exactly like the same spec without
+// them.
+func TestLegacyShardOptionsDecode(t *testing.T) {
+	const base = `{"router":"p2c","policy":"greedy","models":["DLRM-RMC1"],"headroom_r":0.05,
+		"options":{"queue_cap":16,"slice_s":4,"window_s":1,"reprovision_every":4,
+		"max_queries_per_interval":150000,"max_batch":1,"seed":1%s}}`
+	replay := func(options string) DayResult {
+		var spec Spec
+		if err := json.Unmarshal([]byte(fmt.Sprintf(base, options)), &spec); err != nil {
+			t.Fatal(err)
+		}
+		res, err := newReplayEngine(t, spec).RunDay(goldenWorkloads())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := replay("")
+	if got := replay(`,"shards":4,"sequential":true`); !reflect.DeepEqual(got, want) {
+		t.Error("legacy shards/sequential keys changed the replay")
+	}
+	if want.TotalQueries == 0 {
+		t.Fatal("replay served nothing")
 	}
 }

@@ -27,10 +27,10 @@ const maxTraceIntervals = 1 << 16
 // recording run generated — same IDs, arrival instants, sizes and
 // sparse scales — plus the offered load and replayed slice length the
 // engine needs to re-provision identically. Re-ingesting a recorded
-// day therefore reproduces the original DayResult byte for byte, at
-// any shard count: arrivals are canonically ordered (query IDs are
-// assigned in arrival order), and every downstream random decision
-// (shedding, shard splitting, routing, cache hits) draws from streams
+// day therefore reproduces the original DayResult byte for byte:
+// arrivals are canonically ordered (query IDs are assigned in arrival
+// order), and every downstream random decision (shedding, routing,
+// cache hits) draws from streams
 // seeded by the query's identity, not by how it was read back in.
 //
 // Lifecycle events other than arrival and offer are skipped, so a full
@@ -158,8 +158,9 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 
 	// Canonicalize: per-(interval, model) streams in query-ID order —
 	// the generation order of the recording run (IDs are assigned as
-	// queries arrive), restored regardless of how shard interleaving
-	// ordered the exported lines. The sorted stream is where duplicate
+	// queries arrive), restored regardless of how the export ordered
+	// the lines (shed queries' arrivals are staged ahead of routed
+	// ones). The sorted stream is where duplicate
 	// IDs and backwards timestamps become detectable.
 	seen := make(map[string]bool)
 	for key, qs := range ts.arrivals {

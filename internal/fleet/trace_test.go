@@ -13,19 +13,17 @@ import (
 
 // The tracing tests pin the tentpole claims of the telemetry layer:
 // tracing never perturbs the replay (identical DayResult traced vs
-// untraced), the emitted trace is a pure function of the spec (byte
-// identity across sequential and parallel execution at any shard cap
-// whose decomposition coincides), and every traced router makes
-// exactly the decisions its untraced Pick would.
+// untraced), the emitted trace is a pure function of the spec (pinned
+// by a committed golden here and across worker counts by
+// workers_test.go), and every traced router makes exactly the
+// decisions its untraced Pick would.
 
-// tracedRun replays goldenTraceWorkloads on a testEngine with the given
-// shard geometry, 1-in-64 sampling, and an NDJSON sink; it returns the
-// trace bytes and the DayResult.
-func tracedRun(t *testing.T, shards int, sequential bool) ([]byte, DayResult) {
+// tracedRun replays goldenTraceWorkloads on a testEngine with 1-in-64
+// sampling and an NDJSON sink; it returns the trace bytes and the
+// DayResult.
+func tracedRun(t *testing.T) ([]byte, DayResult) {
 	t.Helper()
 	opts := testOpts()
-	opts.Shards = shards
-	opts.Sequential = sequential
 	opts.TraceSample = 64
 	e := testEngine(PowerOfTwo, opts)
 	var buf bytes.Buffer
@@ -42,9 +40,7 @@ func tracedRun(t *testing.T, shards int, sequential bool) ([]byte, DayResult) {
 
 // goldenTraceWorkloads is a deliberately small day: at 200/400/600
 // QPS the greedy provisioner never allocates more than 4 T2 servers
-// per interval, so Shards=4 and Shards=8 produce identical shard
-// decompositions (n = min(shardCap, pool)) — the strongest trace
-// byte-identity claim available across shard caps.
+// per interval, which keeps the committed golden trace small.
 func goldenTraceWorkloads() []cluster.Workload {
 	return []cluster.Workload{{
 		Model: "DLRM-RMC1",
@@ -52,14 +48,13 @@ func goldenTraceWorkloads() []cluster.Workload {
 	}}
 }
 
-// TestGoldenTraceByteIdentity: the sampled trace must be byte-for-byte
-// identical across sequential and parallel replays and across shard
-// caps with coinciding decompositions, and must match the committed
-// golden — the proof that trace emission is deterministic, not merely
-// "deterministic up to goroutine scheduling".
+// TestGoldenTraceByteIdentity: the sampled trace must match the
+// committed golden byte for byte — the proof that trace emission is
+// deterministic, not merely "deterministic up to goroutine
+// scheduling".
 func TestGoldenTraceByteIdentity(t *testing.T) {
 	if os.Getenv("REGEN_GOLDEN_TRACE") != "" {
-		got, _ := tracedRun(t, 4, true)
+		got, _ := tracedRun(t)
 		if err := os.WriteFile("testdata/golden_trace.ndjson", got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -69,20 +64,8 @@ func TestGoldenTraceByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name       string
-		shards     int
-		sequential bool
-	}{
-		{"seq-4", 4, true},
-		{"par-4", 4, false},
-		{"par-8", 8, false},
-	} {
-		got, _ := tracedRun(t, cfg.shards, cfg.sequential)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: trace diverged from golden (%d vs %d bytes)",
-				cfg.name, len(got), len(want))
-		}
+	if got, _ := tracedRun(t); !bytes.Equal(got, want) {
+		t.Errorf("trace diverged from golden (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -91,7 +74,6 @@ func TestGoldenTraceByteIdentity(t *testing.T) {
 // replay. Tracing reads the replay; it never participates in it.
 func TestTracingDoesNotPerturbReplay(t *testing.T) {
 	base := testOpts()
-	base.Shards = 4
 	untraced, err := testEngine(PowerOfTwo, base).RunDay(goldenTraceWorkloads())
 	if err != nil {
 		t.Fatal(err)
@@ -116,15 +98,13 @@ func TestTracingDoesNotPerturbReplay(t *testing.T) {
 }
 
 // TestTracedBatchedReplayDeterministic extends both claims to the
-// dynamic-batching loop: parallel batched trace == sequential batched
+// dynamic-batching loop: two traced batched replays emit the same
 // trace, and the traced batched DayResult equals the untraced one.
 func TestTracedBatchedReplayDeterministic(t *testing.T) {
-	run := func(sequential bool, sample int) ([]byte, DayResult) {
+	run := func(sample int) ([]byte, DayResult) {
 		opts := testOpts()
-		opts.Shards = 4
 		opts.MaxBatch = 4
 		opts.BatchWaitS = 0.004
-		opts.Sequential = sequential
 		opts.TraceSample = sample
 		e := testEngine(WeightedHetero, opts)
 		e.Service = constBatchSource{}
@@ -143,16 +123,16 @@ func TestTracedBatchedReplayDeterministic(t *testing.T) {
 		}
 		return buf.Bytes(), res
 	}
-	seqTrace, seqRes := run(true, 8)
-	parTrace, parRes := run(false, 8)
-	if !bytes.Equal(seqTrace, parTrace) {
-		t.Error("batched parallel trace diverged from sequential")
+	traceA, resA := run(8)
+	traceB, resB := run(8)
+	if len(traceA) == 0 || !bytes.Equal(traceA, traceB) {
+		t.Error("two traced batched replays emitted different traces")
 	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Error("batched parallel DayResult diverged from sequential")
+	if !reflect.DeepEqual(resA, resB) {
+		t.Error("two traced batched replays diverged")
 	}
-	_, untraced := run(false, 0)
-	if !reflect.DeepEqual(parRes, untraced) {
+	_, untraced := run(0)
+	if !reflect.DeepEqual(resA, untraced) {
 		t.Error("tracing changed the batched DayResult")
 	}
 }
@@ -219,14 +199,11 @@ func TestTracedRoutersMatchUntraced(t *testing.T) {
 }
 
 // TestSketchTailsDeterministicAndClose: the sketch-based tail path
-// must stay deterministic across parallel and sequential replays
-// (bucket-wise merges are order-independent), and its percentiles must
-// track the exact path within the sketch's relative-error bound.
+// must be deterministic run to run, and its percentiles must track the
+// exact path within the sketch's relative-error bound.
 func TestSketchTailsDeterministicAndClose(t *testing.T) {
-	run := func(sequential, sketch bool) DayResult {
+	run := func(sketch bool) DayResult {
 		opts := testOpts()
-		opts.Shards = 4
-		opts.Sequential = sequential
 		opts.SketchTails = sketch
 		res, err := testEngine(PowerOfTwo, opts).RunDay(goldenWorkloads())
 		if err != nil {
@@ -234,12 +211,11 @@ func TestSketchTailsDeterministicAndClose(t *testing.T) {
 		}
 		return res
 	}
-	seq := run(true, true)
-	par := run(false, true)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("sketch-tails parallel replay diverged from sequential")
+	seq := run(true)
+	if !reflect.DeepEqual(seq, run(true)) {
+		t.Fatal("two sketch-tails replays diverged")
 	}
-	exact := run(true, false)
+	exact := run(false)
 	if len(seq.Steps) != len(exact.Steps) {
 		t.Fatal("step count diverged")
 	}

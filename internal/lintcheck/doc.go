@@ -9,10 +9,12 @@
 // encodes the contracts as analyzers that fail CI the moment a
 // violating line is typed:
 //
-//   - wallclock: no time.Now/Since/Until and no global math/rand draws
-//     in replay-path packages (fleet, scenario, sim, telemetry, stats,
-//     workload, cluster, perfbench); randomness must flow from an
-//     explicit seeded source or a query-identity hash.
+//   - wallclock: no time.Now/Since/Until, no global math/rand draws
+//     and no runtime.NumCPU/GOMAXPROCS in replay-path packages (fleet,
+//     scenario, sim, telemetry, stats, workload, cluster, grid,
+//     perfbench); randomness must flow from an explicit seeded source
+//     or a query-identity hash, and no result may depend on the host's
+//     core count.
 //   - maporder: no ranging over a map whose body appends to a slice,
 //     writes an exported result field, or emits output/telemetry,
 //     unless a deterministic sort follows in the same block.

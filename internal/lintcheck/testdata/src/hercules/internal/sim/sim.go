@@ -1,11 +1,12 @@
 // Package sim is the wallclock fixture: it sits on a replay-path
-// import path, so wall-clock reads and global RNG draws are flagged
-// while explicit seeded sources stay legal.
+// import path, so wall-clock reads, global RNG draws and host core
+// counts are flagged while explicit seeded sources stay legal.
 package sim
 
 import (
 	"math/rand"
 	randv2 "math/rand/v2"
+	"runtime"
 	"time"
 )
 
@@ -28,6 +29,20 @@ func seededV2() uint64 {
 
 func virtual(interval int, sliceS float64) float64 {
 	return float64(interval) * sliceS // virtual time: legal
+}
+
+func shards() int {
+	n := runtime.NumCPU()            // want "runtime\\.NumCPU reads the host's core count"
+	return n + runtime.GOMAXPROCS(0) // want "runtime\\.GOMAXPROCS reads the host's core count"
+}
+
+func workers() int {
+	//lint:allow wallclock fixture: sizes a worker pool whose count never reaches a result
+	return runtime.GOMAXPROCS(0)
+}
+
+func version() string {
+	return runtime.Version() // other runtime functions stay legal
 }
 
 func provenance() time.Time {

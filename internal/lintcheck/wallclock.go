@@ -6,16 +6,17 @@ import (
 	"strings"
 )
 
-// WallclockAnalyzer enforces the replay-determinism clock/RNG
-// contract: code in a replay-path package must not read wall-clock
-// time or draw from the process-global math/rand source. Every result
-// the repo reports rests on sequential and parallel replays being
-// byte-identical, which requires all time to be virtual (interval
-// index × slice length) and all randomness to flow from an explicit
-// seeded source or a query-identity hash.
+// WallclockAnalyzer enforces the replay-determinism host contract:
+// code in a replay-path package must not read wall-clock time, draw
+// from the process-global math/rand source, or read the host's core
+// count. Every result the repo reports is a function of its spec
+// alone, which requires all time to be virtual (interval index ×
+// slice length), all randomness to flow from an explicit seeded source
+// or a query-identity hash, and no decision to depend on how many
+// cores the host has.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
-	Doc: "forbid time.Now/Since/Until and global math/rand draws in replay-path packages; " +
+	Doc: "forbid time.Now/Since/Until, global math/rand draws and runtime.NumCPU/GOMAXPROCS in replay-path packages; " +
 		"randomness must come from an explicit seeded *rand.Rand or a query-identity hash",
 	Run: runWallclock,
 }
@@ -50,6 +51,13 @@ var wallclockTimeFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
 	"Until": true,
+}
+
+// hostFuncs are the package runtime functions that read (or set) the
+// host's parallelism.
+var hostFuncs = map[string]bool{
+	"NumCPU":     true,
+	"GOMAXPROCS": true,
 }
 
 // globalRandFuncs are the math/rand and math/rand/v2 package-level
@@ -90,6 +98,12 @@ func runWallclock(pass *Pass) error {
 				if wallclockTimeFuncs[fn.Name()] {
 					pass.Reportf(sel.Pos(),
 						"time.%s reads the wall clock in replay-path package %s; replay time must be virtual (interval index, slice offset)",
+						fn.Name(), pass.Pkg.Path())
+				}
+			case "runtime":
+				if hostFuncs[fn.Name()] {
+					pass.Reportf(sel.Pos(),
+						"runtime.%s reads the host's core count in replay-path package %s; results must not depend on the host",
 						fn.Name(), pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":

@@ -203,7 +203,7 @@ func ReportAt(t time.Time, benches []Bench, command string) *Report {
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
-		CPUs:        runtime.NumCPU(),
+		CPUs:        runtime.NumCPU(), //lint:allow wallclock report provenance: the host the numbers came from
 		GeneratedAt: t.UTC().Format(time.RFC3339),
 		Command:     command,
 		Benchmarks:  benches,
