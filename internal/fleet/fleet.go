@@ -190,6 +190,7 @@ type modelObs struct {
 // per-engine state).
 type replayScratch struct {
 	tasks    []*poolTask // grown on demand, reused each interval
+	pending  sync.WaitGroup
 	allBuf   []float64
 	breached []bool
 	// modelSk and allSk are the reused merge targets of the
@@ -903,15 +904,14 @@ func (e *Engine) idleWatts(serverType string) float64 {
 // keeping its backing arrays.
 type poolTask struct {
 	modelName string
-	slaMS     float64
 	insts     []*Instance
 	queries   []workload.Query
 
-	// The stream admit builds: the recorded arrivals when fromTrace,
-	// else qps of model generated from genSeed with sizes scaled by
-	// sizeScale; then thinned by shedFrac on the shedSeed stream.
+	// The stream admit builds: the recorded arrivals already in queries
+	// when fromTrace, else qps of model generated from genSeed with
+	// sizes scaled by sizeScale; then thinned by shedFrac on the
+	// shedSeed stream.
 	fromTrace bool
-	recorded  []workload.Query
 	model     *model.Model
 	qps       float64
 	genSeed   int64
@@ -921,7 +921,7 @@ type poolTask struct {
 
 	newRouter func() Router
 	seed      int64
-	group     int // index of the task's engine in runInterval
+	pending   *sync.WaitGroup // the engine's count of unfinished tasks
 	windowW   float64
 	windows   int
 	sliceS    float64 // busy-accounting horizon for this interval's slice
@@ -1072,26 +1072,15 @@ func (w *poolTask) traceServed(qid int64, instID int, arrS, startS, doneS float6
 	ev.Value = doneS - arrS
 }
 
-// run replays the task's query stream over its pool. Unbatched
-// service is the MaxBatch <= 1 case of the one loop: such instances
-// answer each arrival immediately; batching instances emit latencies
-// when their batches dispatch (window expiry, a full batch, or the
-// end-of-slice drain), bucketed into observation windows by each
-// query's own arrival instant. Pools mix batched and unbatched
-// instances (each pair derives its own batch cap from the measured
-// efficiency curve), so the loop branches per pick.
-// admit builds the task's query stream: the recorded arrivals, or a
-// fresh generator's, thinned in place by the door's shed fraction.
+// admit builds the task's query stream — the recorded arrivals, or a
+// fresh generator's — thinned in place by the door's shed fraction.
 // With tracing on, the door buffer records the interval's offer (the
 // offered load and slice the replay provisioned with — what lets a
 // recorded trace re-provision identically on re-ingestion), then
 // arrival+shed pairs of sampled shed queries.
 func (w *poolTask) admit() {
-	var queries []workload.Query
-	if w.fromTrace {
-		// Copied: the shed thinning below works in place.
-		queries = append(w.queries[:0], w.recorded...)
-	} else {
+	queries := w.queries
+	if !w.fromTrace {
 		gen := workload.NewGenerator(w.model, w.qps, w.genSeed)
 		if w.sizeScale != 1 {
 			// Shift the lognormal's median: the mix rotation makes every
@@ -1130,6 +1119,14 @@ func (w *poolTask) admit() {
 	w.queries = queries
 }
 
+// run replays the task's query stream over its pool. Unbatched
+// service is the MaxBatch <= 1 case of the one loop: such instances
+// answer each arrival immediately; batching instances emit latencies
+// when their batches dispatch (window expiry, a full batch, or the
+// end-of-slice drain), bucketed into observation windows by each
+// query's own arrival instant. Pools mix batched and unbatched
+// instances (each pair derives its own batch cap from the measured
+// efficiency curve), so the loop branches per pick.
 func (w *poolTask) run() {
 	w.admit()
 	router := w.newRouter()
@@ -1330,9 +1327,10 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		t.reset(windows, e.Opts.SketchTails)
 		mh := hashString(m)
 		t.modelName = m
-		t.slaMS = e.models[m].SLATargetMS
+		t.model = e.models[m]
 		t.insts = pools[m]
 		t.newRouter = e.newRouter
+		t.pending = &scr.pending
 		// The <<8 is part of every recorded routing stream: changing it
 		// re-rolls the golden replays.
 		t.seed = mixSeed(e.Opts.Seed, int64(idx), int64(mi)<<8)
@@ -1354,14 +1352,14 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			t.door.Arm(tr, idx, m, mh)
 			t.traceOn = true
 		}
-		// The task builds its own stream when it runs (admit).
+		// The task builds its own stream when it runs (admit), from a
+		// copy of the recorded arrivals when there are any: the shed
+		// thinning works in place. Mix shifts are skipped along with
+		// load scaling — both are already baked into the recording.
 		t.fromTrace = e.TraceSrc != nil
 		if t.fromTrace {
-			// Mix shifts are skipped along with load scaling — both are
-			// already baked into the recorded stream.
-			t.recorded = e.TraceSrc.Queries(idx, m)
+			t.queries = append(t.queries, e.TraceSrc.Queries(idx, m)...)
 		}
-		t.model = e.models[m]
 		t.qps = loads[m]
 		t.genSeed = mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi))
 		t.sizeScale = eff.Size(m)
@@ -1374,7 +1372,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			prev := e.prevObs[m]
 			sig := AdmissionSignal{
 				Model:        m,
-				SLATargetMS:  t.slaMS,
+				SLATargetMS:  t.model.SLATargetMS,
 				OfferedQPS:   loads[m],
 				PrevP99MS:    prev.p99MS,
 				PrevDropFrac: prev.dropFrac,
@@ -1407,30 +1405,14 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 // tail short when one model's stream dominates.
 func runInterval(engines []*Engine) {
 	var order []*poolTask
-	for g, e := range engines {
+	for _, e := range engines {
 		start := len(order)
 		order = append(order, e.run.tasks...)
 		slices.SortFunc(order[start:], func(a, b *poolTask) int { return cmp.Compare(b.qps, a.qps) })
-		for _, t := range order[start:] {
-			t.group = g
-		}
+		e.scratch.pending.Add(len(e.run.tasks))
 	}
 	//lint:allow wallclock the worker count schedules independent tasks; it never reaches a result
 	workers := min(runtime.GOMAXPROCS(0), len(order))
-	if workers <= 1 {
-		for _, e := range engines {
-			for _, t := range e.run.tasks {
-				t.run()
-			}
-			e.finishInterval()
-		}
-		return
-	}
-	left := make([]atomic.Int32, len(engines))
-	for g, e := range engines {
-		left[g].Store(int32(len(e.run.tasks)))
-	}
-	done := make(chan int, len(engines)) // one notice per engine: sends never block
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -1438,22 +1420,16 @@ func runInterval(engines []*Engine) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
-				t := order[i]
-				t.run()
-				if left[t.group].Add(-1) == 0 {
-					done <- t.group
-					// Yield so the waiting caller finishes the engine now,
-					// not once this worker runs out of tasks.
-					runtime.Gosched()
-				}
+				order[i].run()
+				order[i].pending.Done()
+				// Yield so a caller woken by this task finishes its
+				// engine now, not once this worker runs out of tasks.
+				runtime.Gosched()
 			}
 		}()
 	}
-	ready := make([]bool, len(engines))
-	for g, e := range engines {
-		for len(e.run.tasks) > 0 && !ready[g] {
-			ready[<-done] = true
-		}
+	for _, e := range engines {
+		e.scratch.pending.Wait()
 		e.finishInterval()
 	}
 	wg.Wait()
@@ -1545,7 +1521,7 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 	}
 	for _, t := range tasks {
 		m := t.modelName
-		limit := t.slaMS * slaFactor
+		limit := t.model.SLATargetMS * slaFactor
 		if useSketch {
 			armSketch(&scr.modelSk)
 			for w := range t.winSk {
