@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hercules/internal/cluster"
@@ -58,6 +59,21 @@ func TestCacheDisabledIsZeroCost(t *testing.T) {
 		if ist.CacheWarmth != nil || ist.CacheHits != 0 {
 			t.Fatalf("interval %d carries cache state with the tier disabled", ist.Index)
 		}
+	}
+}
+
+// TestCacheParallelMatchesSequential: the hit decision is a pure
+// function of (seed, interval, model, query ID) — the worker count must
+// not move a single query across the hit/miss line.
+func TestCacheParallelMatchesSequential(t *testing.T) {
+	var seq, par DayResult
+	atProcs(1, func() { seq = runCacheDay(t, CacheSpec{HitRate: 0.8}, "", nil) })
+	atProcs(8, func() { par = runCacheDay(t, CacheSpec{HitRate: 0.8}, "", nil) })
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("cache-enabled parallel replay diverged from sequential")
+	}
+	if par.TotalCacheHits == 0 {
+		t.Fatal("cache-enabled replay recorded no hits")
 	}
 }
 

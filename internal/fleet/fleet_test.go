@@ -302,6 +302,33 @@ func TestAutoscalerTriggersEarlyReprovision(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: a replay on one worker (GOMAXPROCS 1)
+// and on eight must be bit-identical.
+func TestParallelMatchesSequential(t *testing.T) {
+	ws := []cluster.Workload{{
+		Model: "DLRM-RMC1",
+		Trace: stepTrace(800, 1200, 1600, 2000, 1600, 1200, 800, 600),
+	}}
+	run := func(procs int) DayResult {
+		var res DayResult
+		atProcs(procs, func() {
+			var err error
+			if res, err = testEngine(LeastOutstanding, testOpts()).RunDay(ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
+	}
+	seq, par := run(1), run(8)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("parallel replay must be bit-identical to sequential:\nseq: %+v\npar: %+v",
+			seq, par)
+	}
+	if seq.TotalQueries == 0 {
+		t.Fatal("replay served nothing")
+	}
+}
+
 func TestRunDayAccounting(t *testing.T) {
 	ws := []cluster.Workload{{
 		Model: "DLRM-RMC1",
@@ -491,6 +518,39 @@ func TestBatchedCapacityRule(t *testing.T) {
 	if in.Served+len(in.pendArr) != admitted || in.Dropped != dropped {
 		t.Fatalf("instance counters disagree: served=%d pending=%d dropped=%d",
 			in.Served, len(in.pendArr), in.Dropped)
+	}
+}
+
+// TestBatchedParallelMatchesSequential extends the determinism claim
+// to the dynamic-batching replay loop: with MaxBatch > 1 the replay on
+// eight workers must stay bit-identical to the one on a single worker.
+func TestBatchedParallelMatchesSequential(t *testing.T) {
+	ws := []cluster.Workload{{
+		Model: "DLRM-RMC1",
+		Trace: stepTrace(800, 1600, 2400, 1600, 800, 400),
+	}}
+	run := func(procs int) DayResult {
+		opts := testOpts()
+		opts.MaxBatch = 4
+		opts.BatchWaitS = 0.004
+		var res DayResult
+		atProcs(procs, func() {
+			var err error
+			if res, err = testEngine(WeightedHetero, opts).RunDay(ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return res
+	}
+	seq, par1, par2 := run(1), run(8), run(8)
+	if !reflect.DeepEqual(par1, par2) {
+		t.Fatal("two batched parallel replays with the same seed diverged")
+	}
+	if !reflect.DeepEqual(seq, par1) {
+		t.Fatalf("batched parallel replay must match sequential:\nseq: %+v\npar: %+v", seq, par1)
+	}
+	if seq.TotalQueries == 0 {
+		t.Fatal("batched replay served nothing")
 	}
 }
 
