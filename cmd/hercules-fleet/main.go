@@ -104,6 +104,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -424,18 +425,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "replaying %s: %d interval(s), models %s\n",
 			spec.Trace, traceSrc.Steps(), strings.Join(traceSrc.Models(), ","))
 	}
+	if *cf.pprofAddr != "" {
+		// Bind before calibrating or replaying anything: an unusable
+		// address fails the run here, by name.
+		ln, lerr := listenPprof(*cf.pprofAddr)
+		if lerr != nil {
+			fatal(lerr)
+		}
+		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
+		go http.Serve(ln, nil)
+	}
 	table, err := loadOrCalibrateTable(*cf.table, spec, spec.Options.Seed)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *cf.pprofAddr != "" {
-		go func(addr string) {
-			fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", addr)
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof:", err)
-			}
-		}(*cf.pprofAddr)
 	}
 
 	// Trace sinks are opened once and shared by every run in the sweep;
@@ -707,6 +709,15 @@ func loadOrCalibrateTable(path string, spec fleet.Spec, seed int64) (*profiler.T
 		models = append(models, m)
 	}
 	return fleet.CalibrateTable(models, types, seed)
+}
+
+// listenPprof binds the -pprof address.
+func listenPprof(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof: %w", err)
+	}
+	return ln, nil
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"net"
 	"os"
 	"reflect"
 	"strings"
@@ -77,5 +78,23 @@ func TestRouterErrorListsRegistered(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q must list registered router %q", err, name)
 		}
+	}
+}
+
+// TestPprofAddressInUse: an unusable -pprof address must fail by name
+// instead of being logged while the sweep runs on.
+func TestPprofAddressInUse(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	ln, err := listenPprof(held.Addr().String())
+	if err == nil {
+		ln.Close()
+		t.Fatal("a held address was accepted")
+	}
+	if !strings.HasPrefix(err.Error(), "pprof: ") {
+		t.Errorf("error %q must name pprof", err)
 	}
 }

@@ -37,6 +37,8 @@
 //     DayResult itself is just the built-in aggregation over the same
 //     stream (hercules-fleet -ndjson is a plain observer);
 //   - Router — per-query routing over a model's instance pool;
+//     ReplaySlice routes one query stream over a hand-built pool
+//     through the same pool-replay loop RunDay runs;
 //   - Instance — one activated server as an M/G/c/(c+K) queue, with
 //     optional dynamic batching (EnableBatching / Options.MaxBatch);
 //   - Scaler — online autoscaling: the breach-driven Autoscaler and
@@ -100,8 +102,10 @@
 // deterministically sampled 1-in-N of the query stream, staged in
 // per-task buffers and drained in model-name order, so every replay of
 // a spec emits a byte-identical trace at any worker count and the
-// DayResult is unchanged traced or untraced. Routers expose their decision through
-// TracedRouter.PickTraced, contractually identical to Pick.
+// DayResult is unchanged traced or untraced. Built-in routers keep
+// their one decision in TracedRouter.PickTraced, which records the
+// inspected candidates only when handed a route event; Pick is
+// PickTraced without one.
 // NewMetricsObserver folds the Observer stream into a
 // telemetry.Registry of counters, gauges and sketch-backed histograms,
 // and Options.SketchTails swaps the exact per-window latency buffers

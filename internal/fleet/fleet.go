@@ -153,15 +153,14 @@ type Engine struct {
 	models    map[string]*model.Model
 	meanSvc   map[pairKey]float64
 	batchEff  map[pairKey][]float64
-	idleW     map[string]float64
 	prevObs   map[string]modelObs
 	instSeq   int
 	baseOverR float64
+	// typeW caches per-type server idle and TDP watts (typeWatts).
+	typeW map[string]serverWatts
 	// gridTL is the day's compiled carbon-intensity timeline (nil reads
-	// as zero intensity — the no-grid replay); tdpW caches per-type
-	// server TDP for the powercap watt→derate conversion.
+	// as zero intensity — the no-grid replay).
 	gridTL  *grid.Timeline
-	tdpW    map[string]float64
 	scratch replayScratch
 	// run is the in-flight day's cross-interval state (beginDay sets
 	// it, endDay clears it); an Engine replays one day at a time.
@@ -384,10 +383,12 @@ type dayRun struct {
 	knownFleet scenario.Effects
 
 	// The interval in flight between prepareInterval and
-	// finishInterval: its stats so far, scenario effects, slice length
-	// and replay tasks (model-name order).
+	// finishInterval: its stats so far, scenario effects and their
+	// resolved fleet health, slice length and replay tasks (model-name
+	// order).
 	ist    IntervalStats
 	eff    scenario.Effects
+	health healthMap
 	sliceS float64
 	tasks  []*poolTask
 }
@@ -434,7 +435,6 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	}
 	e.meanSvc = make(map[pairKey]float64)
 	e.batchEff = make(map[pairKey][]float64)
-	e.idleW = make(map[string]float64)
 	e.prevObs = make(map[string]modelObs, len(ws))
 	e.baseOverR = e.Provisioner.OverProvisionR
 	e.cacheActive = e.Cache.Enabled()
@@ -555,8 +555,11 @@ func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 		r.insts = e.buildInstances(r.active.Alloc)
 	}
 
-	pools, dead := e.effectiveInstances(r.insts, eff)
-	r.eff = eff
+	r.eff, r.health = eff, nil
+	if len(eff.Killed) > 0 || len(eff.DerateFrac) > 0 || len(eff.PowerCapW) > 0 {
+		r.health = e.fleetHealth(eff)
+	}
+	pools, dead := effectiveInstances(r.insts, r.health)
 	r.ist = IntervalStats{
 		Index:            i,
 		TimeH:            float64(i) * r.stepS / 3600,
@@ -595,53 +598,37 @@ func (e *Engine) endDay() DayResult {
 	return r.res
 }
 
-// effectiveInstances applies a scenario's fleet effects to the
-// provisioned pools: killed servers disappear (highest instance IDs of
-// the affected type first — one failure domain), derated servers are
+// effectiveInstances applies an interval's resolved fleet health to
+// the provisioned pools: killed servers disappear (highest instance IDs
+// of the affected type first — one failure domain), slowed servers are
 // replaced by slowed clones. It returns the pools to replay against
-// plus the fleet-wide count of down servers. With no fleet effects the
-// input pools are returned untouched.
-func (e *Engine) effectiveInstances(insts map[string][]*Instance, eff scenario.Effects) (map[string][]*Instance, int) {
-	capFrac := e.powercapFrac(eff)
-	if len(eff.Killed) == 0 && len(eff.DerateFrac) == 0 && len(capFrac) == 0 {
+// plus the fleet-wide count of down servers. With no fleet effects (nil
+// health) the input pools are returned untouched.
+func effectiveInstances(insts map[string][]*Instance, health healthMap) (map[string][]*Instance, int) {
+	if health == nil {
 		return insts, 0
 	}
-	fleetCount := e.fleetCounts()
-	builtOfType := make(map[string]int)
+	// A type's pools can keep at most its live servers; anything the
+	// current allocation holds beyond that is dead. When the allocation
+	// was computed against the degraded availability, nothing is
+	// filtered.
+	ids := make(map[string][]int)
 	for _, pool := range insts {
 		for _, in := range pool {
-			builtOfType[in.Type]++
-		}
-	}
-	// A type's pools can keep at most (fleet - killed) live servers;
-	// anything the current allocation holds beyond that is dead. When
-	// the allocation was computed against the degraded availability,
-	// the budget is zero and nothing is filtered.
-	deadIDs := make(map[int]bool)
-	deadServers := 0
-	types := make([]string, 0, len(eff.Killed))
-	for t := range eff.Killed {
-		types = append(types, t)
-	}
-	sort.Strings(types)
-	for _, t := range types {
-		killed := min(eff.Killed[t], fleetCount[t])
-		deadServers += killed
-		budget := builtOfType[t] - (fleetCount[t] - killed)
-		if budget <= 0 {
-			continue
-		}
-		var ids []int
-		for _, pool := range insts {
-			for _, in := range pool {
-				if in.Type == t {
-					ids = append(ids, in.ID)
-				}
+			if h := health[in.Type]; h.alive < h.count {
+				ids[in.Type] = append(ids[in.Type], in.ID)
 			}
 		}
-		sort.Sort(sort.Reverse(sort.IntSlice(ids)))
-		for _, id := range ids[:budget] {
-			deadIDs[id] = true
+	}
+	deadIDs := make(map[int]bool)
+	deadServers := 0
+	for t, h := range health {
+		deadServers += h.count - h.alive
+		if budget := len(ids[t]) - h.alive; budget > 0 {
+			sort.Sort(sort.Reverse(sort.IntSlice(ids[t])))
+			for _, id := range ids[t][:budget] {
+				deadIDs[id] = true
+			}
 		}
 	}
 	out := make(map[string][]*Instance, len(insts))
@@ -651,14 +638,7 @@ func (e *Engine) effectiveInstances(insts map[string][]*Instance, eff scenario.E
 			if deadIDs[in.ID] {
 				continue
 			}
-			// A derate and a powercap on the same type never coexist
-			// (scenario validation rejects the overlap), but a powercap
-			// composes with the type's survivors of a kill.
-			f := eff.DerateOf(in.Type)
-			if cf, ok := capFrac[in.Type]; ok {
-				f *= cf
-			}
-			if f < 1 {
+			if f := health.speed(in.Type); f < 1 {
 				in = in.Slowed(1 / f)
 			}
 			kept = append(kept, in)
@@ -677,63 +657,70 @@ func (e *Engine) fleetCounts() map[string]int {
 	return counts
 }
 
-// powercapPerServerW splits each powercapped type's total watt budget
-// across the type's surviving servers this interval — the per-server
-// power ceiling the energy sweep enforces. nil when no cap is active.
-func (e *Engine) powercapPerServerW(eff scenario.Effects) map[string]float64 {
-	if len(eff.PowerCapW) == 0 {
-		return nil
+// typeHealth is one server type's state under an interval's fleet
+// effects: its fleet size, the servers a kill leaves alive, the
+// survivors' service-rate multiplier and their per-server power
+// ceiling (0 = uncapped).
+type typeHealth struct {
+	count, alive int
+	speed, capW  float64
+}
+
+// healthMap is fleetHealth's per-type resolution.
+type healthMap map[string]typeHealth
+
+// speed returns the type's service-rate multiplier; a type absent from
+// the map (or a nil map) runs at full speed.
+func (hm healthMap) speed(t string) float64 {
+	if h, ok := hm[t]; ok {
+		return h.speed
 	}
+	return 1
+}
+
+// fleetHealth resolves an interval's fleet effects for every server
+// type of the fleet. A powercap splits the type's watt budget across
+// its survivors, and a server held at a fraction of its TDP runs at (to
+// first order) that fraction of its service rate, floored at 5% so a
+// starvation-level budget slows servers instead of dividing by zero; a
+// budget covering full TDP does not throttle. A derate and a powercap
+// on the same type never coexist (scenario validation rejects the
+// overlap), but a powercap composes with the type's survivors of a
+// kill.
+func (e *Engine) fleetHealth(eff scenario.Effects) healthMap {
 	counts := e.fleetCounts()
-	out := make(map[string]float64, len(eff.PowerCapW))
-	for t, w := range eff.PowerCapW {
-		alive := min(eff.KilledOf(t), counts[t])
-		alive = counts[t] - alive
-		if alive <= 0 {
-			continue
+	out := make(healthMap, len(counts))
+	for t, n := range counts {
+		h := typeHealth{count: n, alive: n - min(eff.KilledOf(t), n), speed: eff.DerateOf(t)}
+		if w, ok := eff.PowerCapW[t]; ok && h.alive > 0 {
+			h.capW = w / float64(h.alive)
+			if tdp := e.typeWatts(t).tdp; tdp > 0 {
+				if f := math.Min(math.Max(h.capW/tdp, 0.05), 1); f < 1 {
+					h.speed *= f
+				}
+			}
 		}
-		out[t] = w / float64(alive)
+		out[t] = h
 	}
 	return out
 }
 
-// powercapFrac converts the interval's per-server watt ceilings into
-// service-rate multipliers: a server held at a fraction of its TDP
-// runs at (to first order) that fraction of its service rate, floored
-// at 5% so a starvation-level budget slows servers instead of
-// dividing by zero. Types whose budget covers full TDP are absent
-// (no throttle).
-func (e *Engine) powercapFrac(eff scenario.Effects) map[string]float64 {
-	per := e.powercapPerServerW(eff)
-	if per == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(per))
-	for t, w := range per {
-		tdp := e.tdpWatts(t)
-		if tdp <= 0 {
-			continue
-		}
-		if f := math.Min(math.Max(w/tdp, 0.05), 1); f < 1 {
-			out[t] = f
-		}
-	}
-	return out
-}
+// serverWatts is a server type's idle and TDP power.
+type serverWatts struct{ idle, tdp float64 }
 
-// tdpWatts resolves (and caches) a server type's TDP.
-func (e *Engine) tdpWatts(t string) float64 {
-	if w, ok := e.tdpW[t]; ok {
+// typeWatts resolves (and caches) a server type's idle and TDP power.
+func (e *Engine) typeWatts(t string) serverWatts {
+	if w, ok := e.typeW[t]; ok {
 		return w
 	}
-	var w float64
+	var w serverWatts
 	if srv, err := serverByType(t); err == nil {
-		w = srv.TDPWatts()
+		w = serverWatts{idle: srv.IdleWatts(), tdp: srv.TDPWatts()}
 	}
-	if e.tdpW == nil {
-		e.tdpW = make(map[string]float64)
+	if e.typeW == nil {
+		e.typeW = make(map[string]serverWatts)
 	}
-	e.tdpW[t] = w
+	e.typeW[t] = w
 	return w
 }
 
@@ -883,19 +870,6 @@ func (e *Engine) concurrency(serverType, modelName string, qps float64) int {
 	return stats.ClampInt(int(math.Ceil(qps*mean)), 1, 256)
 }
 
-// idleWatts caches the idle power of a server type.
-func (e *Engine) idleWatts(serverType string) float64 {
-	if w, ok := e.idleW[serverType]; ok {
-		return w
-	}
-	w := 0.0
-	if srv, err := serverByType(serverType); err == nil {
-		w = srv.IdleWatts()
-	}
-	e.idleW[serverType] = w
-	return w
-}
-
 // poolTask is one model's replay task for an interval: the model's
 // whole effective pool plus its admitted query stream, routed by one
 // router over one seeded RNG stream. Tasks of different models (and
@@ -1041,33 +1015,62 @@ func (w *poolTask) observe(wi int, latS float64) {
 // geo spill), counts as served, and never reaches a router (nor a
 // drop — the tier sits ahead of the pool-empty check). Returns whether
 // the query was served there.
-func (w *poolTask) cacheServe(q workload.Query, wi int, sampled bool, rttS float64) bool {
+func (w *poolTask) cacheServe(q workload.Query, wi int, remote, sampled bool) bool {
 	if w.cacheHR <= 0 || !cacheHit(w.cacheStream, q.ID, w.cacheHR) {
 		return false
 	}
 	w.hits++
-	w.observe(wi, w.cacheLatS+rttS)
+	rtt := 0.0
+	if remote {
+		rtt = w.remoteRTTS
+		w.remoteServed++
+	}
+	w.observe(wi, w.cacheLatS+rtt)
 	if sampled {
 		ev := w.trace.Emit(telemetry.KindHit, q.ID, q.ArrivalS)
-		ev.Value = w.cacheLatS + rttS
+		ev.Value = w.cacheLatS + rtt
 	}
 	return true
 }
 
-// traceServed emits the service-side events of one sampled query:
-// enqueue (queue wait), start (with batch size), end (service span)
-// and complete (total latency).
-func (w *poolTask) traceServed(qid int64, instID int, arrS, startS, doneS float64, batch int) {
-	ev := w.trace.Emit(telemetry.KindEnqueue, qid, startS)
+// drop counts one rejected query: the pool was empty (instID -1) or
+// instance instID's bounded queue was full.
+func (w *poolTask) drop(q workload.Query, wi int, remote, sampled bool, instID int) {
+	w.dropped++
+	w.winDrops[wi]++
+	if remote {
+		w.remoteDropped++
+	}
+	if sampled {
+		ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
+		ev.Instance = int32(instID)
+	}
+}
+
+// serve records one served query: its latency (plus RTT when remote)
+// into window wi and, when sampled, its service-side events: enqueue
+// (queue wait), start (with batch size), end (service span) and
+// complete (total latency).
+func (w *poolTask) serve(wi int, id int64, instID int, arrS, startS, doneS float64, batch int, remote, sampled bool) {
+	rtt := 0.0
+	if remote {
+		rtt = w.remoteRTTS
+		w.remoteServed++
+	}
+	w.observe(wi, doneS-arrS+rtt)
+	if !sampled {
+		return
+	}
+	ev := w.trace.Emit(telemetry.KindEnqueue, id, startS)
 	ev.Instance = int32(instID)
 	ev.Value = startS - arrS
-	ev = w.trace.Emit(telemetry.KindStart, qid, startS)
+	ev = w.trace.Emit(telemetry.KindStart, id, startS)
 	ev.Instance = int32(instID)
 	ev.Value = float64(batch)
-	ev = w.trace.Emit(telemetry.KindEnd, qid, doneS)
+	ev = w.trace.Emit(telemetry.KindEnd, id, doneS)
 	ev.Instance = int32(instID)
 	ev.Value = doneS - startS
-	ev = w.trace.Emit(telemetry.KindComplete, qid, doneS)
+	ev = w.trace.Emit(telemetry.KindComplete, id, doneS)
 	ev.Instance = int32(instID)
 	ev.Value = doneS - arrS
 }
@@ -1130,6 +1133,7 @@ func (w *poolTask) admit() {
 func (w *poolTask) run() {
 	w.admit()
 	router := w.newRouter()
+	trouter, _ := router.(TracedRouter)
 	rng := stats.NewRand(w.seed)
 	for _, in := range w.insts {
 		in.ResetSlice(w.sliceS)
@@ -1139,89 +1143,50 @@ func (w *poolTask) run() {
 		// forming batch plus a full-batch dispatch including itself.
 		w.comps = make([]Completion, 0, 2*w.maxBatch)
 	}
-	trouter, _ := router.(TracedRouter)
 	for _, q := range w.queries {
 		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
 		remote := w.remoteFrac > 0 && cacheHit(w.remoteStream, q.ID, w.remoteFrac)
-		rtt := 0.0
-		if remote {
-			rtt = w.remoteRTTS
-		}
 		sampled := w.traceOn && w.trace.Sampled(q.ID)
 		if sampled {
 			ev := w.trace.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
 			ev.Value = float64(q.Size)
 			ev.Aux = q.SparseScale
 		}
-		if w.cacheServe(q, wi, sampled, rtt) {
-			if remote {
-				w.remoteServed++
-			}
+		if w.cacheServe(q, wi, remote, sampled) {
 			continue
 		}
 		if len(w.insts) == 0 {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-			}
+			w.drop(q, wi, remote, sampled, -1)
 			continue
 		}
-		var pick int
+		var ev *telemetry.Event // the route event, for sampled queries
 		if sampled {
-			ev := w.trace.Emit(telemetry.KindRoute, q.ID, q.ArrivalS)
-			if trouter != nil {
-				pick = trouter.PickTraced(w.insts, q.ArrivalS, rng, ev)
-			} else {
-				pick = router.Pick(w.insts, q.ArrivalS, rng)
-			}
-			ev.Instance = int32(w.insts[pick].ID)
-			if trouter == nil {
-				ev.Cand[0] = ev.Instance
-				ev.NCand = 1
-			}
+			ev = w.trace.Emit(telemetry.KindRoute, q.ID, q.ArrivalS)
+		}
+		var pick int
+		if trouter != nil {
+			pick = trouter.PickTraced(w.insts, q.ArrivalS, rng, ev)
 		} else {
 			pick = router.Pick(w.insts, q.ArrivalS, rng)
+			recordCand(ev, 0, w.insts[pick])
 		}
 		in := w.insts[pick]
+		if ev != nil {
+			ev.Instance = int32(in.ID)
+		}
 		if in.MaxBatch <= 1 {
 			start, done, drop := in.arrive(q.ArrivalS, q.Size, q.SparseScale)
 			if drop {
-				w.dropped++
-				w.winDrops[wi]++
-				if remote {
-					w.remoteDropped++
-				}
-				if sampled {
-					ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-					ev.Instance = int32(in.ID)
-				}
-				continue
+				w.drop(q, wi, remote, sampled, in.ID)
+			} else {
+				w.serve(wi, q.ID, in.ID, q.ArrivalS, start, done, 1, remote, sampled)
 			}
-			if sampled {
-				w.traceServed(q.ID, in.ID, q.ArrivalS, start, done, 1)
-			}
-			if remote {
-				w.remoteServed++
-			}
-			w.observe(wi, done-q.ArrivalS+rtt)
 			continue
 		}
 		comps, drop := in.ArriveBatched(q.ID, q.ArrivalS, q.Size, q.SparseScale, w.comps[:0])
 		w.comps = comps[:0]
 		if drop {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-				ev.Instance = int32(in.ID)
-			}
+			w.drop(q, wi, remote, sampled, in.ID)
 		} else if sampled {
 			// The query joined a forming batch (its Start/End events
 			// surface with the dispatch's completions); record its
@@ -1247,24 +1212,16 @@ func (w *poolTask) run() {
 	}
 }
 
-// record buckets a dispatch's completions into observation windows by
-// arrival instant, and emits the deferred service events of sampled
-// members (all completions in one drain come from the same instance).
-// A completion's remote-origin verdict re-draws on its query ID — the
+// record serves a dispatch's completions (all from instance instID),
+// each in the observation window of its own arrival instant. A
+// completion's remote-origin verdict re-draws on its query ID — the
 // same draw its arrival made — so deferred dispatch cannot change
 // which queries pay RTT.
 func (w *poolTask) record(instID int, comps []Completion) {
 	for _, c := range comps {
 		wi := stats.ClampInt(int(c.ArrivalS/w.windowW), 0, w.windows-1)
-		rtt := 0.0
-		if w.remoteFrac > 0 && cacheHit(w.remoteStream, c.ID, w.remoteFrac) {
-			rtt = w.remoteRTTS
-			w.remoteServed++
-		}
-		w.observe(wi, c.DoneS-c.ArrivalS+rtt)
-		if w.traceOn && w.trace.Sampled(c.ID) {
-			w.traceServed(c.ID, instID, c.ArrivalS, c.StartS, c.DoneS, c.Batch)
-		}
+		remote := w.remoteFrac > 0 && cacheHit(w.remoteStream, c.ID, w.remoteFrac)
+		w.serve(wi, c.ID, instID, c.ArrivalS, c.StartS, c.DoneS, c.Batch, remote, w.traceOn && w.trace.Sampled(c.ID))
 	}
 }
 
@@ -1601,17 +1558,16 @@ func (e *Engine) sweepEnergy(tasks []*poolTask) {
 	r := e.run
 	var watts, utilSum float64
 	nInsts := 0
-	capW := e.powercapPerServerW(r.eff)
 	for _, t := range tasks {
 		for _, in := range t.insts {
-			idle := e.idleWatts(in.Type)
+			idle := e.typeWatts(in.Type).idle
 			peak := idle
 			if entry, ok := e.Table.Get(in.Type, in.Model); ok {
 				peak = math.Max(entry.PowerW, idle)
 			}
 			u := in.Utilization(r.sliceS)
 			w := idle + (peak-idle)*u
-			if cw, ok := capW[in.Type]; ok && w > cw {
+			if cw := r.health[in.Type].capW; cw > 0 && w > cw {
 				// The powercap is physical: whatever the workload wants,
 				// the server never draws past its share of the budget.
 				w = cw
@@ -1628,7 +1584,7 @@ func (e *Engine) sweepEnergy(tasks []*poolTask) {
 }
 
 // SliceResult is ReplaySlice's accounting. LatS holds one latency per
-// admitted query — in arrival order for unbatched pools, in dispatch
+// served query — in arrival order for unbatched pools, in dispatch
 // order for batching pools (a batch emits its members' latencies when
 // it launches).
 type SliceResult struct {
@@ -1638,61 +1594,30 @@ type SliceResult struct {
 }
 
 // ReplaySlice routes one query stream (in arrival order) over the
-// given instances with a fresh router of the given registered name —
-// the single-pool building block RunDay composes, exported for tests
-// and tools that want router behavior without provisioning. Batching
+// given instances with a fresh router of the given registered name:
+// one pool task of the replay loop RunDay runs, exported for tests and
+// tools that want router behavior without provisioning. Batching
 // instances (EnableBatching) are served through the dynamic-batching
 // path, including the end-of-slice drain of forming batches. An
 // unregistered router name panics: callers pass compile-time policy
 // names, never user input (route user input through ParseRouter).
 func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query, seed int64) SliceResult {
-	router, err := NewRouter(routerName)
+	newRouter, err := RouterFactory(routerName)
 	if err != nil {
 		panic(err)
 	}
-	rng := stats.NewRand(seed)
-	var res SliceResult
-	var comps []Completion
-	for _, in := range insts {
-		in.Reset()
+	// One window spanning the slice, and sliceS 0: every instance
+	// resets with an unclipped busy horizon.
+	t := &poolTask{insts: insts, fromTrace: true, newRouter: newRouter, seed: seed,
+		windowW: math.Inf(1), maxBatch: 1}
+	t.reset(1, false)
+	t.queries = queries
+	t.run()
+	lat := t.winLatMS[0]
+	for i := range lat {
+		lat[i] /= 1e3
 	}
-	for _, q := range queries {
-		if len(insts) == 0 {
-			res.Dropped++
-			continue
-		}
-		in := insts[router.Pick(insts, q.ArrivalS, rng)]
-		if in.MaxBatch <= 1 {
-			done, drop := in.Arrive(q.ArrivalS, q.Size, q.SparseScale)
-			if drop {
-				res.Dropped++
-				continue
-			}
-			res.Served++
-			res.LatS = append(res.LatS, done-q.ArrivalS)
-			continue
-		}
-		var drop bool
-		comps, drop = in.ArriveBatched(q.ID, q.ArrivalS, q.Size, q.SparseScale, comps[:0])
-		if drop {
-			res.Dropped++
-		} else {
-			res.Served++
-		}
-		for _, c := range comps {
-			res.LatS = append(res.LatS, c.DoneS-c.ArrivalS)
-		}
-	}
-	for _, in := range insts {
-		if in.MaxBatch <= 1 {
-			continue
-		}
-		comps = in.FlushPending(comps[:0])
-		for _, c := range comps {
-			res.LatS = append(res.LatS, c.DoneS-c.ArrivalS)
-		}
-	}
-	return res
+	return SliceResult{LatS: lat, Served: len(queries) - t.dropped, Dropped: t.dropped}
 }
 
 // hashString folds a string into a seed component (FNV-1a).

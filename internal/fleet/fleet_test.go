@@ -62,29 +62,47 @@ func TestRouterParseRoundTrip(t *testing.T) {
 }
 
 func TestQueueOverflowDropsAndAccounting(t *testing.T) {
-	// One channel, two waiting slots, 10 ms service: a burst of 10
-	// simultaneous arrivals admits exactly 3.
-	in := NewInstance(0, "T2", "DLRM-RMC1", 100, 1, 2,
-		func(int, float64) float64 { return 0.010 })
-	queries := make([]workload.Query, 10)
-	for i := range queries {
-		queries[i] = workload.Query{ID: int64(i), ArrivalS: 0, Size: 100, SparseScale: 1}
-	}
-	res := ReplaySlice(RoundRobin, []*Instance{in}, queries, 1)
-	if res.Served != 3 || res.Dropped != 7 {
-		t.Fatalf("served=%d dropped=%d, want 3/7", res.Served, res.Dropped)
-	}
-	if res.Served+res.Dropped != len(queries) {
-		t.Fatalf("accounting leak: %d+%d != %d", res.Served, res.Dropped, len(queries))
-	}
-	if in.Served != 3 || in.Dropped != 7 {
-		t.Fatalf("instance counters %d/%d disagree", in.Served, in.Dropped)
-	}
-	// FCFS latencies: 10, 20, 30 ms.
-	want := []float64{0.010, 0.020, 0.030}
-	for i, l := range res.LatS {
-		if math.Abs(l-want[i]) > 1e-9 {
-			t.Errorf("latency[%d] = %v, want %v", i, l, want[i])
+	// One channel, two waiting slots, 10 ms service, a burst of 10
+	// simultaneous arrivals. Unbatched, exactly 3 are admitted, with
+	// FCFS latencies 10, 20, 30 ms. Batching up to 4 admits
+	// max(1, 4)+2 = 6: the first four dispatch as a full 40 ms batch,
+	// and the end-of-slice flush launches the last two when the channel
+	// frees at 40 ms, completing at 60 ms.
+	svc := func(int, float64) float64 { return 0.010 }
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+		want     []float64
+	}{
+		{"unbatched", 1, []float64{0.010, 0.020, 0.030}},
+		{"batched", 4, []float64{0.040, 0.040, 0.040, 0.040, 0.060, 0.060}},
+	} {
+		in := NewInstance(0, "T2", "DLRM-RMC1", 100, 1, 2, svc)
+		if tc.maxBatch > 1 {
+			in.EnableBatching(tc.maxBatch, 0.002, nil)
+		}
+		queries := make([]workload.Query, 10)
+		for i := range queries {
+			queries[i] = workload.Query{ID: int64(i), ArrivalS: 0, Size: 100, SparseScale: 1}
+		}
+		res := ReplaySlice(RoundRobin, []*Instance{in}, queries, 1)
+		served := len(tc.want)
+		if res.Served != served || res.Dropped != len(queries)-served {
+			t.Fatalf("%s: served=%d dropped=%d, want %d/%d", tc.name, res.Served, res.Dropped, served, len(queries)-served)
+		}
+		if res.Served+res.Dropped != len(queries) {
+			t.Fatalf("%s: accounting leak: %d+%d != %d", tc.name, res.Served, res.Dropped, len(queries))
+		}
+		if len(res.LatS) != res.Served {
+			t.Fatalf("%s: %d latencies for %d served queries", tc.name, len(res.LatS), res.Served)
+		}
+		if in.Served != res.Served || in.Dropped != res.Dropped {
+			t.Fatalf("%s: instance counters %d/%d disagree", tc.name, in.Served, in.Dropped)
+		}
+		for i, l := range res.LatS {
+			if math.Abs(l-tc.want[i]) > 1e-9 {
+				t.Errorf("%s: latency[%d] = %v, want %v", tc.name, i, l, tc.want[i])
+			}
 		}
 	}
 }

@@ -315,34 +315,29 @@ func (me *MultiEngine) buildAdjusts(spill [][]float64, offered []map[string]floa
 // it. Optimistic by construction (no queueing, no mix) — the spill
 // policy's trigger and headroom margins are what absorb the gap.
 func (e *Engine) capacityQPS(eff scenario.Effects) float64 {
-	counts := e.fleetCounts()
-	types := make([]string, 0, len(counts))
-	for t := range counts {
+	health := e.fleetHealth(eff)
+	types := make([]string, 0, len(health))
+	for t := range health {
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	capFrac := e.powercapFrac(eff)
 	models := e.Spec.withDefaults().Models
 	var total float64
 	for _, t := range types {
-		alive := counts[t] - min(eff.KilledOf(t), counts[t])
-		if alive <= 0 {
+		// Powercapped servers serve slower; the spill policy sees the
+		// throttled capacity and can route around a capped region
+		// exactly as it routes around a derated one.
+		h := health[t]
+		if h.alive <= 0 {
 			continue
-		}
-		slow := eff.DerateOf(t)
-		if cf, ok := capFrac[t]; ok {
-			// Powercapped servers serve slower; the spill policy sees
-			// the throttled capacity and can route around a capped
-			// region exactly as it routes around a derated one.
-			slow *= cf
 		}
 		best := 0.0
 		for _, m := range models {
 			if entry, ok := e.Table.Get(t, m); ok && entry.QPS > 0 {
-				best = math.Max(best, entry.QPS*slow)
+				best = math.Max(best, entry.QPS*h.speed)
 			}
 		}
-		total += best * float64(alive)
+		total += best * float64(h.alive)
 	}
 	return total
 }

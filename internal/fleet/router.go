@@ -83,27 +83,43 @@ type Router interface {
 }
 
 // TracedRouter is the optional tracing extension of Router: PickTraced
-// must choose exactly the instance Pick would — same RNG draws, same
-// state reads in the same order, same cursor advances — while filling
-// the route event's candidate fields (Cand, NCand). The engine calls
-// it only for queries in the trace sample, so recording costs nothing
-// on the untraced path; routers that do not implement it still trace,
-// with only the chosen instance recorded as a candidate.
+// makes the decision Pick makes while filling the route event's
+// candidate fields (Cand, NCand) when ev is non-nil. The engine routes
+// every query through it, passing an event only for queries in the
+// trace sample, so recording costs one nil test on the untraced path;
+// routers that do not implement it still trace, with only the chosen
+// instance recorded as a candidate.
 //
-// All four built-in routers implement TracedRouter. The byte-identity
-// guarantee (traced replay == untraced replay, parallel == sequential)
-// rests on the "identical decision" contract, which
-// TestTracedRoutersMatchUntraced pins per router.
+// Each built-in router keeps its decision in PickTraced alone, and its
+// Pick is PickTraced with a nil event. A traced replay is
+// byte-identical to an untraced one because candidate recording reads
+// only instance IDs; TestTracedRoutersMatchUntraced pins this per
+// router.
 type TracedRouter interface {
 	Router
-	// PickTraced is Pick plus candidate recording into ev.
+	// PickTraced is Pick plus candidate recording into ev (nil records
+	// nothing).
 	PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int
+}
+
+// recordCand records in as a route event's j-th candidate, with NCand
+// counting it; a nil event records nothing.
+func recordCand(ev *telemetry.Event, j int, in *Instance) {
+	if ev == nil {
+		return
+	}
+	ev.Cand[j] = int32(in.ID)
+	ev.NCand = uint8(j + 1)
 }
 
 // recordScan fills a route event's candidate fields for a full-scan
 // router: the first MaxCandidates instance IDs, with NCand reporting
-// the total considered (saturating at 255).
+// the total considered (saturating at 255). A nil event records
+// nothing.
 func recordScan(insts []*Instance, ev *telemetry.Event) {
+	if ev == nil {
+		return
+	}
 	n := len(insts)
 	for j := 0; j < n && j < telemetry.MaxCandidates; j++ {
 		ev.Cand[j] = int32(insts[j].ID)
@@ -119,17 +135,15 @@ type roundRobin struct{ next int }
 func (r *roundRobin) Name() string { return RoundRobin }
 
 func (r *roundRobin) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
-	i := r.next % len(insts)
-	r.next++
-	return i
+	return r.PickTraced(insts, now, rng, nil)
 }
 
 // PickTraced implements TracedRouter: round robin considers exactly
 // the instance the cursor lands on.
 func (r *roundRobin) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
-	i := r.Pick(insts, now, rng)
-	ev.Cand[0] = int32(insts[i].ID)
-	ev.NCand = 1
+	i := r.next % len(insts)
+	r.next++
+	recordCand(ev, 0, insts[i])
 	return i
 }
 
@@ -137,7 +151,16 @@ type leastOutstanding struct{}
 
 func (leastOutstanding) Name() string { return LeastOutstanding }
 
-func (leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
+func (r leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
+	return r.PickTraced(insts, now, rng, nil)
+}
+
+// PickTraced implements TracedRouter. Candidate recording reads only
+// instance IDs, so the Outstanding scan happens exactly as untraced
+// (Outstanding can launch a due batch — the inspection order is part
+// of the replay's determinism contract).
+func (leastOutstanding) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
+	recordScan(insts, ev)
 	best, bestOut := 0, insts[0].Outstanding(now)
 	for i := 1; i < len(insts); i++ {
 		if out := insts[i].Outstanding(now); out < bestOut {
@@ -147,44 +170,20 @@ func (leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) int
 	return best
 }
 
-// PickTraced implements TracedRouter. Candidate recording reads only
-// instance IDs, so the Outstanding scan below happens exactly as in
-// Pick (Outstanding can launch a due batch — the inspection order is
-// part of the replay's determinism contract).
-func (r leastOutstanding) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
-	recordScan(insts, ev)
-	return r.Pick(insts, now, rng)
-}
-
 type powerOfTwo struct{}
 
 func (powerOfTwo) Name() string { return PowerOfTwo }
 
-func (powerOfTwo) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
-	n := len(insts)
-	if n == 1 {
-		return 0
-	}
-	i := rng.Intn(n)
-	j := rng.Intn(n - 1)
-	if j >= i {
-		j++
-	}
-	if insts[j].Outstanding(now) < insts[i].Outstanding(now) {
-		return j
-	}
-	return i
+func (r powerOfTwo) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
+	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter: the same two RNG draws and the
-// same Outstanding inspection order (j before i, matching Pick's
-// left-to-right comparison) as the untraced decision, with both
-// sampled candidates recorded.
+// PickTraced implements TracedRouter: two RNG draws, both sampled
+// candidates recorded, and Outstanding inspected j before i.
 func (powerOfTwo) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	n := len(insts)
 	if n == 1 {
-		ev.Cand[0] = int32(insts[0].ID)
-		ev.NCand = 1
+		recordCand(ev, 0, insts[0])
 		return 0
 	}
 	i := rng.Intn(n)
@@ -192,9 +191,8 @@ func (powerOfTwo) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev 
 	if j >= i {
 		j++
 	}
-	ev.Cand[0] = int32(insts[i].ID)
-	ev.Cand[1] = int32(insts[j].ID)
-	ev.NCand = 2
+	recordCand(ev, 0, insts[i])
+	recordCand(ev, 1, insts[j])
 	if insts[j].Outstanding(now) < insts[i].Outstanding(now) {
 		return j
 	}
@@ -205,7 +203,14 @@ type weightedHetero struct{}
 
 func (weightedHetero) Name() string { return WeightedHetero }
 
-func (weightedHetero) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
+func (r weightedHetero) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
+	return r.PickTraced(insts, now, rng, nil)
+}
+
+// PickTraced implements TracedRouter (see leastOutstanding.PickTraced
+// for the inspection-order caveat).
+func (weightedHetero) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
+	recordScan(insts, ev)
 	best, bestLoad := 0, heteroLoad(insts[0], now)
 	for i := 1; i < len(insts); i++ {
 		if l := heteroLoad(insts[i], now); l < bestLoad {
@@ -213,13 +218,6 @@ func (weightedHetero) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
 		}
 	}
 	return best
-}
-
-// PickTraced implements TracedRouter (see leastOutstanding.PickTraced
-// for the inspection-order caveat).
-func (r weightedHetero) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
-	recordScan(insts, ev)
-	return r.Pick(insts, now, rng)
 }
 
 // heteroLoad is the capacity-normalized congestion of an instance: how

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hercules/internal/cluster"
+	"hercules/internal/hw"
 	"hercules/internal/scenario"
 )
 
@@ -237,5 +238,40 @@ func TestApplyScenarioRejectsInvalid(t *testing.T) {
 	}
 	if err := e.ApplyScenario(scenario.Scenario{}, nil); err == nil {
 		t.Error("empty workloads accepted")
+	}
+}
+
+// TestFleetHealth pins the per-type resolution of kills, powercaps and
+// their composition: survivors share the watt budget, a budget below
+// TDP throttles the service rate, and a type the map does not hold
+// runs at full speed.
+func TestFleetHealth(t *testing.T) {
+	e := &Engine{Fleet: hw.Fleet{Types: []hw.Server{hw.ServerType("T2")}, Counts: []int{10}}}
+	tdp := hw.ServerType("T2").TDPWatts()
+	for _, tc := range []struct {
+		name string
+		eff  scenario.Effects
+		typ  string
+		want typeHealth
+	}{
+		{"kill only", scenario.Effects{Killed: map[string]int{"T2": 4}},
+			"T2", typeHealth{count: 10, alive: 6, speed: 1}},
+		{"powercap only", scenario.Effects{PowerCapW: map[string]float64{"T2": 5 * tdp}},
+			"T2", typeHealth{count: 10, alive: 10, speed: 0.5, capW: tdp / 2}},
+		{"kill and powercap", scenario.Effects{Killed: map[string]int{"T2": 5}, PowerCapW: map[string]float64{"T2": 2.5 * tdp}},
+			"T2", typeHealth{count: 10, alive: 5, speed: 0.5, capW: tdp / 2}},
+		{"budget above TDP", scenario.Effects{PowerCapW: map[string]float64{"T2": 20 * tdp}},
+			"T2", typeHealth{count: 10, alive: 10, speed: 1, capW: 2 * tdp}},
+		{"type absent from the fleet", scenario.Effects{PowerCapW: map[string]float64{"T7": 100}},
+			"T7", typeHealth{speed: 1}},
+	} {
+		hm := e.fleetHealth(tc.eff)
+		got, ok := hm[tc.typ]
+		if !ok {
+			got.speed = hm.speed(tc.typ)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %s health = %+v, want %+v", tc.name, tc.typ, got, tc.want)
+		}
 	}
 }

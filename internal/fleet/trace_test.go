@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"hercules/internal/cluster"
 	"hercules/internal/stats"
 	"hercules/internal/telemetry"
+	"hercules/internal/workload"
 )
 
 // The tracing tests pin the tentpole claims of the telemetry layer:
@@ -240,5 +242,48 @@ func TestSketchTailsDeterministicAndClose(t *testing.T) {
 	}
 	if seq.TotalQueries != exact.TotalQueries || seq.TotalDrops != exact.TotalDrops {
 		t.Error("sketch path changed query accounting")
+	}
+}
+
+// TestTracedDropInstance: a drop event names the instance whose queue
+// rejected the query, or -1 when the pool was empty.
+func TestTracedDropInstance(t *testing.T) {
+	svc := func(int, float64) float64 { return 0.010 }
+	unbatched := NewInstance(7, "T2", "DLRM-RMC1", 100, 1, 0, svc)
+	// Batched capacity is max(1, 2)+0 = 2 outstanding: the first two
+	// arrivals dispatch as a full batch, the third is rejected.
+	batched := NewInstance(9, "T2", "DLRM-RMC1", 100, 1, 0, svc)
+	batched.EnableBatching(2, 0.002, nil)
+	for _, tc := range []struct {
+		name  string
+		insts []*Instance
+		want  int32
+	}{
+		{"empty pool", nil, -1},
+		{"full unbatched queue", []*Instance{unbatched}, 7},
+		{"full batched queue", []*Instance{batched}, 9},
+	} {
+		w := &poolTask{insts: tc.insts, fromTrace: true, windowW: math.Inf(1), maxBatch: 2,
+			newRouter: func() Router { return &roundRobin{} }}
+		w.reset(1, false)
+		for i := 0; i < 3; i++ {
+			w.queries = append(w.queries, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
+		}
+		w.trace.Arm(telemetry.NewTracer(1, 1, telemetry.DefaultRingCap), 0, "DLRM-RMC1", hashString("DLRM-RMC1"))
+		w.traceOn = true
+		w.run()
+		drops := 0
+		for _, ev := range w.trace.Events() {
+			if ev.Kind != telemetry.KindDrop {
+				continue
+			}
+			drops++
+			if ev.Instance != tc.want {
+				t.Errorf("%s: drop of query %d names instance %d, want %d", tc.name, ev.Query, ev.Instance, tc.want)
+			}
+		}
+		if drops == 0 || drops != w.dropped {
+			t.Errorf("%s: %d drop events for %d drops", tc.name, drops, w.dropped)
+		}
 	}
 }

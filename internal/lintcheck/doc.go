@@ -1,8 +1,8 @@
 // Package lintcheck is the hercules-lint analyzer suite: static
 // enforcement of the invariants every reported result rests on.
 //
-// The repo's headline guarantee — sequential and parallel replays are
-// byte-identical, record→replay round trips are exact, FigRegions and
+// The repo's headline guarantee — a replay is byte-identical at any
+// worker count, record→replay round trips are exact, FigRegions and
 // the BENCH_fleet.json gate are trustworthy — is a determinism
 // contract. Until now it was enforced only dynamically, by golden
 // tests that catch a violation long after it is written. This package

@@ -9,8 +9,9 @@ import "math"
 // values (not the sample count), and two sketches built from disjoint
 // streams merge by bucket-wise addition into exactly the sketch of the
 // concatenated stream — merge order cannot change the answer, which is
-// what lets the fleet replay's parallel shards keep their byte-identity
-// guarantee while tracking tails without buffering samples.
+// what lets the fleet replay's concurrent model tasks keep their
+// byte-identity guarantee while tracking tails without buffering
+// samples.
 //
 // Quantile(p) returns a value within relative error Alpha of an exact
 // sample quantile: if x is the true p-th percentile of the observed
@@ -56,8 +57,8 @@ func NewSketch(alpha float64) *Sketch {
 
 // Init (re)initializes a sketch in place with the given accuracy,
 // releasing any buckets. It exists so pools of sketches (one per
-// observation window per shard in the fleet replay) can be embedded by
-// value and armed without allocation churn.
+// observation window per replay task in the fleet replay) can be
+// embedded by value and armed without allocation churn.
 func (s *Sketch) Init(alpha float64) {
 	if alpha <= 0 || alpha >= 1 {
 		alpha = DefaultSketchAlpha

@@ -8,12 +8,12 @@
 // Tracer records lifecycle events (arrival, shed, route, enqueue,
 // batch, start, end, complete, drop — see Kind) for a deterministic
 // 1-in-N sample of queries. Sample membership is a seeded hash of the
-// query's (interval, model, index) identity, never of shard layout or
-// scheduling order, so sequential and parallel replays of the same
-// spec trace exactly the same queries. Shard workers stage events in
-// single-writer ShardBufs; the engine drains them into the Tracer's
-// fixed ring in deterministic shard order and flushes to the attached
-// Sinks once per interval. NDJSONWriter emits a byte-stable
+// query's (interval, model, index) identity, never of worker count or
+// scheduling order, so every replay of the same spec traces exactly
+// the same queries. Each model's replay task stages its events in a
+// single-writer ShardBuf; the engine drains them into the Tracer's
+// fixed ring in model-name order and flushes to the attached Sinks
+// once per interval. NDJSONWriter emits a byte-stable
 // newline-delimited JSON stream, ChromeWriter emits Chrome trace-event
 // JSON for Perfetto / chrome://tracing, and CountSink counts without
 // I/O (what benchmarks use).

@@ -12,7 +12,7 @@ import (
 // per-interval stream. Field order and float formatting are fixed by
 // hand (shortest round-trip representation), so the same replay always
 // produces byte-identical output: the property the committed
-// golden_trace.ndjson pins across sequential and parallel replays.
+// golden_trace.ndjson pins at any worker count.
 //
 // Line shape (kind-irrelevant fields omitted):
 //

@@ -63,7 +63,7 @@ func (h *HistogramMetric) Count() int {
 	return h.sk.Count()
 }
 
-// Merge folds another sketch into the histogram (per-shard sketches
+// Merge folds another sketch into the histogram (per-interval sketches
 // folding into a run-wide metric).
 func (h *HistogramMetric) Merge(sk *stats.Sketch) {
 	h.mu.Lock()

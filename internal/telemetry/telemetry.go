@@ -65,7 +65,7 @@ const MaxCandidates = 8
 
 // Event is one pooled trace record: a flat, pointer-free struct (the
 // model name is an interned string shared with the engine) so ring
-// slots and shard buffers recycle without allocator traffic.
+// slots and staging buffers recycle without allocator traffic.
 //
 // Field use by kind — TimeS is always the event's virtual-time instant
 // within the interval's replayed slice:
@@ -116,16 +116,15 @@ type Sink interface {
 // Tracer is the deterministically-sampled per-query tracer of the
 // fleet engine. It decides sample membership by a seeded hash of the
 // query's (interval, model, index) identity — a pure function of the
-// query, never of shard layout or scheduling — so sequential and
-// parallel replays sample the same queries and emit byte-identical
-// traces. Events flow from per-shard buffers (ShardBuf, single-writer,
+// query, never of worker count or scheduling — so every replay of a
+// spec samples the same queries and emits byte-identical traces.
+// Events flow from per-task staging buffers (ShardBuf, single-writer,
 // no locks) into a fixed ring buffer, and from there to the attached
 // sinks at every interval flush.
 //
 // SampleN is the sampling period: 1 traces every query, 1024 one in
 // 1024. The Tracer itself is driven from the replay goroutine only;
-// ShardBufs are written by shard workers but each is owned by exactly
-// one shard.
+// each ShardBuf is written by the one replay task that owns it.
 type Tracer struct {
 	// SampleN is the 1-in-N sampling period (min 1).
 	SampleN int
@@ -177,7 +176,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // streamSeed derives the per-(interval, model) sampling stream a
-// ShardBuf is armed with.
+// model's ShardBuf is armed with.
 func (t *Tracer) streamSeed(interval int, modelHash int64) uint64 {
 	return splitmix64(splitmix64(uint64(t.seed)^uint64(interval)) ^ uint64(modelHash))
 }
@@ -185,7 +184,7 @@ func (t *Tracer) streamSeed(interval int, modelHash int64) uint64 {
 // sampledIn reports whether the query with the given per-stream index
 // is traced. Membership is a pure function of (seed, interval, model,
 // index): every replay of the same spec samples the same queries, and
-// no shard layout can change the set.
+// no worker count or scheduling order can change the set.
 func sampledIn(stream uint64, queryID int64, n int) bool {
 	if n <= 1 {
 		return true
@@ -193,8 +192,8 @@ func sampledIn(stream uint64, queryID int64, n int) bool {
 	return splitmix64(stream^uint64(queryID))%uint64(n) == 0
 }
 
-// Ingest moves one shard buffer's events into the ring. Called on the
-// replay goroutine in deterministic shard order. A full ring drains to
+// Ingest moves one staging buffer's events into the ring. Called on
+// the replay goroutine in deterministic (model-name) order. A full ring drains to
 // the sinks mid-ingest (order-preserving — everything runs on the
 // replay goroutine), so no event is lost as long as a sink is
 // attached; with no sinks the oldest events are overwritten (and
@@ -265,10 +264,10 @@ func (t *Tracer) Dropped() uint64 { return t.dropped }
 // Written returns how many events reached the sinks.
 func (t *Tracer) Written() uint64 { return t.written }
 
-// ShardBuf is the per-shard staging buffer: exactly one replay shard
-// appends to it during an interval (no locks, backing array reused
-// across intervals), and the engine drains every shard's buffer into
-// the tracer in deterministic shard order afterwards. Arm binds the
+// ShardBuf is a replay task's staging buffer: exactly one model's
+// replay task appends to it during an interval (no locks, backing
+// array reused across intervals), and the engine drains every task's
+// buffer into the tracer in model-name order afterwards. Arm binds the
 // buffer to its (interval, model) sampling stream; Sampled answers the
 // per-query membership test in a few arithmetic operations, which is
 // what keeps the sampling-off and unsampled-query cost negligible on
@@ -281,7 +280,7 @@ type ShardBuf struct {
 	model    string
 }
 
-// Arm re-binds the buffer for one interval's shard: the sampling
+// Arm re-binds the buffer for one interval's task: the sampling
 // stream, the interval tag and the model label stamped on every event.
 func (b *ShardBuf) Arm(t *Tracer, interval int, model string, modelHash int64) {
 	b.evs = b.evs[:0]
