@@ -36,9 +36,8 @@
 //     finalized IntervalStats through every registered observer, and
 //     DayResult itself is just the built-in aggregation over the same
 //     stream (hercules-fleet -ndjson is a plain observer);
-//   - Router — per-query routing over a model's instance pool;
-//     ReplaySlice routes one query stream over a hand-built pool
-//     through the same pool-replay loop RunDay runs;
+//   - Router — per-query routing over a model's instance pool
+//     (ReplaySlice replays one hand-built pool through RunDay's loop);
 //   - Instance — one activated server as an M/G/c/(c+K) queue, with
 //     optional dynamic batching (EnableBatching / Options.MaxBatch);
 //   - Scaler — online autoscaling: the breach-driven Autoscaler and
@@ -102,10 +101,8 @@
 // deterministically sampled 1-in-N of the query stream, staged in
 // per-task buffers and drained in model-name order, so every replay of
 // a spec emits a byte-identical trace at any worker count and the
-// DayResult is unchanged traced or untraced. Built-in routers keep
-// their one decision in TracedRouter.PickTraced, which records the
-// inspected candidates only when handed a route event; Pick is
-// PickTraced without one.
+// DayResult is unchanged traced or untraced. A built-in router's one
+// decision body is TracedRouter.PickTraced; Pick passes it no event.
 // NewMetricsObserver folds the Observer stream into a
 // telemetry.Registry of counters, gauges and sketch-backed histograms,
 // and Options.SketchTails swaps the exact per-window latency buffers
