@@ -433,6 +433,8 @@ func main() {
 			fatal(lerr)
 		}
 		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
+		// Serves until the process exits; Serve returns only if the
+		// bound listener fails, which costs the run nothing.
 		go http.Serve(ln, nil)
 	}
 	table, err := loadOrCalibrateTable(*cf.table, spec, spec.Options.Seed)
