@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 
 	"hercules/internal/hw"
 	"hercules/internal/model"
@@ -181,7 +182,7 @@ type denseWork struct {
 
 // denseDurations computes per-op durations for the dense ops of `ids`.
 func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float64, coThreads int) denseWork {
-	w := denseWork{dur: make([]float64, len(g.Ops))}
+	w := denseWork{ids: make([]int, 0, len(ids)), dur: make([]float64, len(g.Ops))}
 	eta := 1 / (1 + p.InterferenceKappa*float64(coThreads-1))
 	coreFLOPS := srv.CPU.PeakCoreFLOPS() * p.CPUEff * eta
 	// Weight streams come from DRAM only when the thread's working set
@@ -224,18 +225,21 @@ func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float6
 // the earliest-free worker — the same policy a DL-framework's inter-op
 // thread pool uses.
 func listSchedule(g *model.Graph, w denseWork, workers int) float64 {
-	order := g.TopoOrder(w.ids)
-	in := make([]bool, len(g.Ops))
-	for _, id := range w.ids {
-		in[id] = true
+	// The simulator always prices the whole dense net, whose order the
+	// graph caches; other subsets derive theirs.
+	order := g.DenseOrder()
+	if !slices.Equal(w.ids, g.DenseOps()) {
+		order = g.TopoOrder(w.ids)
 	}
+	// finish stays 0 for ops outside w.ids, so a dependency outside the
+	// scheduled subset never delays an op.
 	finish := make([]float64, len(g.Ops))
 	free := make([]float64, workers)
 	var makespan float64
 	for _, id := range order {
 		ready := 0.0
 		for _, dep := range g.Ops[id].DependsOn {
-			if in[dep] && finish[dep] > ready {
+			if finish[dep] > ready {
 				ready = finish[dep]
 			}
 		}

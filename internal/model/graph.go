@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -78,10 +79,14 @@ type Op struct {
 	Sequential bool
 }
 
-// Graph is an operator DAG for one model.
+// Graph is an operator DAG for one model. Build one with BuildGraph
+// and treat it as immutable afterwards: the op-ID lists and the dense
+// topological order are derived once there and shared by every caller.
 type Graph struct {
 	Model *Model
 	Ops   []Op
+
+	allIDs, sparseIDs, denseIDs, denseOrder []int
 }
 
 // BuildGraph lowers a Model into its operator graph Gm. The layout
@@ -216,35 +221,41 @@ func BuildGraph(m *Model) *Graph {
 			in = out
 		}
 	}
+	g.allIDs = make([]int, len(g.Ops))
 	for i := range g.Ops {
 		if !g.Ops[i].Kind.IsSparse() && g.Ops[i].Table == 0 {
 			g.Ops[i].Table = -1
 		}
+		g.allIDs[i] = i
+		if g.Ops[i].Kind.IsSparse() {
+			g.sparseIDs = append(g.sparseIDs, i)
+		} else {
+			g.denseIDs = append(g.denseIDs, i)
+		}
 	}
+	// Clip capacities so a caller's append copies instead of writing
+	// into the shared backing arrays.
+	g.sparseIDs = slices.Clip(g.sparseIDs)
+	g.denseIDs = slices.Clip(g.denseIDs)
+	g.denseOrder = g.TopoOrder(g.denseIDs)
 	return g
 }
 
-// SparseOps returns the SparseNet (Gs) operator IDs.
-func (g *Graph) SparseOps() []int {
-	var ids []int
-	for _, op := range g.Ops {
-		if op.Kind.IsSparse() {
-			ids = append(ids, op.ID)
-		}
-	}
-	return ids
-}
+// AllOps returns every operator ID in graph order. The slice is shared:
+// callers must not modify it.
+func (g *Graph) AllOps() []int { return g.allIDs }
 
-// DenseOps returns the DenseNet (Gd) operator IDs.
-func (g *Graph) DenseOps() []int {
-	var ids []int
-	for _, op := range g.Ops {
-		if !op.Kind.IsSparse() {
-			ids = append(ids, op.ID)
-		}
-	}
-	return ids
-}
+// SparseOps returns the SparseNet (Gs) operator IDs. The slice is
+// shared: callers must not modify it.
+func (g *Graph) SparseOps() []int { return g.sparseIDs }
+
+// DenseOps returns the DenseNet (Gd) operator IDs. The slice is shared:
+// callers must not modify it.
+func (g *Graph) DenseOps() []int { return g.denseIDs }
+
+// DenseOrder returns TopoOrder(DenseOps()), computed once by
+// BuildGraph. The slice is shared: callers must not modify it.
+func (g *Graph) DenseOrder() []int { return g.denseOrder }
 
 // TotalWork sums the per-item FLOPs and bytes of the given op set.
 func (g *Graph) TotalWork(ids []int) (flops, bytes float64) {
@@ -292,12 +303,11 @@ func (g *Graph) CriticalPathFLOPs(ids []int) float64 {
 
 // TopoOrder returns op IDs in a deterministic topological order.
 // BuildGraph already emits ops topologically, but partitioned sub-graphs
-// re-derive order after filtering.
+// re-derive order after filtering. The whole dense set's order is
+// cached (DenseOrder); this runs only for other subsets.
 func (g *Graph) TopoOrder(ids []int) []int {
 	// Op IDs index g.Ops, so the bookkeeping lives in flat slices with a
-	// CSR successor table instead of maps — this runs once per cost-model
-	// evaluation, thousands of times during a serving-table calibration
-	// or a fleet service-grid fill, and hashing dominated it.
+	// CSR successor table instead of maps.
 	n := len(g.Ops)
 	in := make([]bool, n)
 	for _, id := range ids {

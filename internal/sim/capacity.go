@@ -41,13 +41,21 @@ func evalWindow(rate float64) float64 {
 // Evaluate runs one simulation at the given offered QPS and reports the
 // result (seeded deterministically).
 func (s *Server) Evaluate(cfg Config, rateQPS float64, seed int64) (Result, error) {
+	return s.evaluate(cfg, rateQPS, seed, make(costMemo))
+}
+
+// evaluate is Evaluate pricing CPU batches from memo.
+func (s *Server) evaluate(cfg Config, rateQPS float64, seed int64, memo costMemo) (Result, error) {
 	window := evalWindow(rateQPS)
 	gen := workload.NewGenerator(s.Model, rateQPS, seed)
-	queries := gen.Until(window)
+	// Poisson arrivals: the mean plus four standard deviations holds
+	// the stream without regrowing the buffer.
+	mean := rateQPS * window
+	queries := gen.AppendUntil(make([]workload.Query, 0, int(mean+4*math.Sqrt(mean))+1), window)
 	if len(queries) == 0 {
 		return Result{}, nil
 	}
-	return s.Simulate(cfg, queries, window)
+	return s.simulate(cfg, queries, window, memo)
 }
 
 // FindCapacity measures the latency-bounded throughput of the
@@ -65,8 +73,11 @@ func (s *Server) FindCapacityHint(cfg Config, slaMS float64, seed int64, hintQPS
 	if err := cfg.Validate(s.HW); err != nil {
 		return Capacity{}, err
 	}
+	// Every evaluation of the search simulates the same Config, so they
+	// share one cost memo.
+	memo := make(costMemo)
 	feasible := func(rate float64) (bool, Result) {
-		res, err := s.Evaluate(cfg, rate, seed)
+		res, err := s.evaluate(cfg, rate, seed, memo)
 		if err != nil || res.Queries == 0 {
 			return false, res
 		}

@@ -23,4 +23,13 @@
 //     activity;
 //   - FindCapacity — the latency-bounded throughput search (the SLA
 //     capacity metric every profiling and scheduling stage optimizes).
+//
+// CPU batch costs are memoized on (items, co-active threads, scale
+// bucket, phase); the Config and the Server's fields supply the rest
+// of a cost's inputs. A memo therefore lives exactly as long as one
+// Config's simulations: one Simulate or Evaluate call, or one whole
+// FindCapacity search (about twenty evaluations pricing largely the
+// same batches). It is never kept on the Server, which callers may
+// retain for a process's lifetime and whose Params they may edit
+// between searches.
 package sim

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"hercules/internal/costmodel"
 	"hercules/internal/hw"
@@ -64,13 +66,25 @@ type Result struct {
 // returns measured metrics. wallS is the nominal window length (the
 // arrival span); utilization uses the true makespan when overloaded.
 func (s *Server) Simulate(cfg Config, queries []workload.Query, wallS float64) (Result, error) {
+	return s.simulate(cfg, queries, wallS, make(costMemo))
+}
+
+// costMemo caches CPU batch costs keyed on (items, co-active threads,
+// scale bucket, phase). The rest of a cost's inputs — the Config, the
+// server's hardware, graph, Params and LUT — must stay fixed for the
+// memo's lifetime, so one memo serves one Config's simulations and is
+// dropped when they end (see the package doc).
+type costMemo map[int64]costmodel.CPUBatchCost
+
+// simulate is Simulate pricing CPU batches from memo.
+func (s *Server) simulate(cfg Config, queries []workload.Query, wallS float64, memo costMemo) (Result, error) {
 	if err := cfg.Validate(s.HW); err != nil {
 		return Result{}, err
 	}
 	if len(queries) == 0 {
 		return Result{}, fmt.Errorf("sim: empty query stream")
 	}
-	run := newRun(s, cfg)
+	run := newRun(s, cfg, memo)
 	switch cfg.Place {
 	case PlaceCPUModel:
 		run.cpuModelBased(queries)
@@ -103,13 +117,11 @@ type run struct {
 	// Activity accounting.
 	act power.Activity
 
-	// Cost memo for CPU batches, keyed on (items, active threads,
-	// scale bucket, phase).
-	cpuMemo map[int64]costmodel.CPUBatchCost
+	cpuMemo costMemo
 }
 
-func newRun(s *Server, cfg Config) *run {
-	r := &run{s: s, cfg: cfg, cpuMemo: make(map[int64]costmodel.CPUBatchCost)}
+func newRun(s *Server, cfg Config, memo costMemo) *run {
+	r := &run{s: s, cfg: cfg, cpuMemo: memo}
 	if cfg.Place.OnAccel() {
 		budget := s.HW.GPU.MemoryBytes / int64(max(cfg.AccelThreads, 1))
 		r.plan = partition.BuildPlan(s.Model, budget)
@@ -146,7 +158,7 @@ func (r *run) cpuCost(phase, items int, scale float64, coThreads, workers int) c
 	var ids []int
 	switch phase {
 	case 0:
-		ids = allOps(r.s.Graph)
+		ids = r.s.Graph.AllOps()
 	case 1:
 		ids = r.s.Graph.SparseOps()
 	default:
@@ -158,30 +170,30 @@ func (r *run) cpuCost(phase, items int, scale float64, coThreads, workers int) c
 	return c
 }
 
-func allOps(g *model.Graph) []int {
-	ids := make([]int, len(g.Ops))
-	for i := range ids {
-		ids[i] = i
+// subBatches yields a query's sub-query item counts of at most batch
+// (the whole query when it fits, even when empty).
+func subBatches(size, batch int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if batch >= size {
+			yield(size)
+			return
+		}
+		for size > 0 {
+			b := min(batch, size)
+			if !yield(b) {
+				return
+			}
+			size -= b
+		}
 	}
-	return ids
 }
 
-// subBatches splits a query into sub-query item counts of at most batch.
-func subBatches(size, batch int) []int {
+// numSubBatches counts the items subBatches yields.
+func numSubBatches(size, batch int) int {
 	if batch >= size {
-		return []int{size}
+		return 1
 	}
-	n := (size + batch - 1) / batch
-	out := make([]int, 0, n)
-	for size > 0 {
-		b := batch
-		if size < b {
-			b = size
-		}
-		out = append(out, b)
-		size -= b
-	}
-	return out
+	return (size + batch - 1) / batch
 }
 
 // activeAt counts the threads still busy at `start`, plus the one about
@@ -221,7 +233,7 @@ func (r *run) cpuModelBased(queries []workload.Query) {
 	r.done = make([]float64, len(queries))
 	for qi, q := range queries {
 		var qDone float64
-		for _, items := range subBatches(q.Size, cfg.Batch) {
+		for items := range subBatches(q.Size, cfg.Batch) {
 			ti := earliest(free)
 			start := math.Max(q.ArrivalS, free[ti])
 			c := r.cpuCost(0, items, q.SparseScale, activeAt(free, start), cfg.OpWorkers)
@@ -248,9 +260,13 @@ func (r *run) cpuSDPipeline(queries []workload.Query) {
 		scale float64
 		ready float64
 	}
-	var hs []handoff
+	n := 0
+	for _, q := range queries {
+		n += numSubBatches(q.Size, cfg.Batch)
+	}
+	hs := make([]handoff, 0, n)
 	for qi, q := range queries {
-		for _, items := range subBatches(q.Size, cfg.Batch) {
+		for items := range subBatches(q.Size, cfg.Batch) {
 			ti := earliest(sparseFree)
 			start := math.Max(q.ArrivalS, sparseFree[ti])
 			c := r.cpuCost(1, items, q.SparseScale, activeAt(sparseFree, start), cfg.SparseWorkers)
@@ -261,7 +277,7 @@ func (r *run) cpuSDPipeline(queries []workload.Query) {
 		}
 	}
 	// Dense stage consumes in completion order.
-	sort.SliceStable(hs, func(i, j int) bool { return hs[i].ready < hs[j].ready })
+	slices.SortStableFunc(hs, func(a, b handoff) int { return cmp.Compare(a.ready, b.ready) })
 	denseFree := make([]float64, cfg.Threads)
 	for _, h := range hs {
 		ti := earliest(denseFree)
@@ -318,7 +334,7 @@ func (r *run) accel(queries []workload.Query) {
 	for qi := range queries {
 		pending[qi] = pend{qi, ready[qi]}
 	}
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].ready < pending[j].ready })
+	slices.SortStableFunc(pending, func(a, b pend) int { return cmp.Compare(a.ready, b.ready) })
 
 	threadFree := make([]float64, cfg.AccelThreads)
 	denseIDs := r.s.Graph.DenseOps()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hercules/internal/costmodel"
@@ -275,9 +276,13 @@ func TestSubBatches(t *testing.T) {
 		{64, 64, []int{64}},
 		{10, 64, []int{10}},
 		{200, 64, []int{64, 64, 64, 8}},
+		{0, 64, []int{0}},
 	}
 	for _, c := range cases {
-		got := subBatches(c.size, c.batch)
+		got := slices.Collect(subBatches(c.size, c.batch))
+		if n := numSubBatches(c.size, c.batch); n != len(got) {
+			t.Errorf("numSubBatches(%d,%d) = %d, want %d", c.size, c.batch, n, len(got))
+		}
 		if len(got) != len(c.want) {
 			t.Errorf("subBatches(%d,%d) = %v", c.size, c.batch, got)
 			continue
@@ -382,7 +387,7 @@ func TestLatencyAboveServiceFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One 10-item batch at zero contention is the absolute floor.
-	floor := costmodel.CPUBatch(s.Params, s.HW, s.Graph, allOps(s.Graph), 10, 0.5, 1, 2, false, s.LUT)
+	floor := costmodel.CPUBatch(s.Params, s.HW, s.Graph, s.Graph.AllOps(), 10, 0.5, 1, 2, false, s.LUT)
 	if res.P50MS*1e-3 < floor.ServiceS {
 		t.Fatalf("median latency %.4f s below single-batch floor %.4f s",
 			res.P50MS*1e-3, floor.ServiceS)
