@@ -340,13 +340,14 @@ func (r *run) accel(queries []workload.Query) {
 	denseIDs := r.s.Graph.DenseOps()
 	gatherKernels := len(r.s.Model.Tables)
 	pos := 0
+	var batch []pend
 	for pos < len(pending) {
 		ti := earliest(threadFree)
 		head := pending[pos]
 		t := math.Max(threadFree[ti], head.ready)
 
 		// Fuse queries that are ready by t, up to the fusion limit.
-		batch := []pend{head}
+		batch = append(batch[:0], head)
 		items := queries[head.qi].Size
 		scaleSum := queries[head.qi].SparseScale * queries[head.qi].Items()
 		next := pos + 1
