@@ -23,6 +23,7 @@
 //	               [-trace-out trace.ndjson] [-trace-chrome trace.json]
 //	               [-trace-sample 1024] [-sketch-tails]
 //	               [-metrics-out metrics.json] [-pprof localhost:6060]
+//	               [-cpuprofile cpu.prof]
 //
 // Every run is described by a fleet.Spec: -spec loads one from JSON,
 // the other flags override individual fields (an unset flag defers to
@@ -95,7 +96,8 @@
 // the telemetry metrics registry (counters, gauges, sketch-backed
 // histograms) accumulated across the sweep. -pprof serves
 // net/http/pprof on the given address for live CPU/heap profiling of
-// long replays.
+// long replays. -cpuprofile writes a CPU profile of the whole run —
+// calibration included — to a file, for runs too short to attach to.
 package main
 
 import (
@@ -108,7 +110,9 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"hercules/internal/cluster"
@@ -184,6 +188,7 @@ type cliFlags struct {
 	sketchTails *bool
 	metricsOut  *string
 	pprofAddr   *string
+	cpuProfile  *string
 }
 
 // registerFlags wires the flag set; every default is read off
@@ -246,6 +251,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 			"compute tail percentiles from mergeable quantile sketches (1% relative error) instead of exact buffers"),
 		metricsOut: fs.String("metrics-out", "", "write a JSON snapshot of the telemetry metrics registry (- = stdout)"),
 		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
+		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile of the run, calibration included, to this file"),
 	}
 }
 
@@ -333,7 +339,13 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 // the process exits, on the success path and in fatal().
 var flushOnExit []*bufio.Writer
 
+// stopProfile ends a -cpuprofile capture. The success path checks its
+// error; flushAll calls it too, so fatal() exits leave a complete
+// profile as well.
+var stopProfile = func() error { return nil }
+
 func flushAll() {
+	_ = stopProfile() // fatal() is already reporting an error; a second would bury it
 	for _, w := range flushOnExit {
 		w.Flush()
 	}
@@ -436,6 +448,15 @@ func main() {
 		// Serves until the process exits; Serve returns only if the
 		// bound listener fails, which costs the run nothing.
 		go http.Serve(ln, nil)
+	}
+	if *cf.cpuProfile != "" {
+		// Start before calibrating: the offline stage is often most of
+		// a run's CPU time.
+		stop, perr := startCPUProfile(*cf.cpuProfile)
+		if perr != nil {
+			fatal(perr)
+		}
+		stopProfile = stop
 	}
 	table, err := loadOrCalibrateTable(*cf.table, spec, spec.Options.Seed)
 	if err != nil {
@@ -586,6 +607,9 @@ func main() {
 	}
 	rep.ElapsedS = time.Since(start).Seconds()
 
+	if err := stopProfile(); err != nil {
+		fatal(err)
+	}
 	// Terminate the trace documents and drain every buffered stream
 	// before the report goes to (possibly the same) stdout.
 	for _, s := range traceSinks {
@@ -720,6 +744,27 @@ func listenPprof(addr string) (net.Listener, error) {
 		return nil, fmt.Errorf("pprof: %w", err)
 	}
 	return ln, nil
+}
+
+// startCPUProfile creates the -cpuprofile file and starts profiling
+// into it. The returned stop may be called more than once; every call
+// reports the first call's error.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return sync.OnceValue(func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		return nil
+	}), nil
 }
 
 func fatal(err error) {

@@ -98,3 +98,27 @@ func TestPprofAddressInUse(t *testing.T) {
 		t.Errorf("error %q must name pprof", err)
 	}
 }
+
+// TestCPUProfileUnwritablePath: a -cpuprofile file that cannot be
+// created must fail by name before any profiling starts.
+func TestCPUProfileUnwritablePath(t *testing.T) {
+	stop, err := startCPUProfile(t.TempDir() + "/missing/cpu.prof")
+	if err == nil {
+		_ = stop()
+		t.Fatal("an uncreatable profile path was accepted")
+	}
+	if !strings.HasPrefix(err.Error(), "cpuprofile: ") {
+		t.Errorf("error %q must name cpuprofile", err)
+	}
+	// Nothing may be left profiling: a fresh capture must start.
+	stop, err = startCPUProfile(t.TempDir() + "/cpu.prof")
+	if err != nil {
+		t.Fatalf("profiling after a failed start: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("a second stop must repeat the first's nil error, got %v", err)
+	}
+}
