@@ -188,7 +188,7 @@ func subBatches(size, batch int) iter.Seq[int] {
 	}
 }
 
-// numSubBatches counts the items subBatches yields.
+// numSubBatches counts the sub-batches subBatches yields.
 func numSubBatches(size, batch int) int {
 	if batch >= size {
 		return 1
