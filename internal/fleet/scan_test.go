@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -110,5 +111,27 @@ func TestGoldenSlicePools(t *testing.T) {
 	}
 	if !bytes.Equal(data, want) {
 		t.Errorf("mixed-pool slice replay diverged from the committed golden (UPDATE_GOLDEN=1 to regenerate after a deliberate change)\ngot:\n%s", data)
+	}
+}
+
+// BenchmarkPick times the pool scan where the replay spends it: one
+// ReplaySlice over scanPool per op, for each state-aware router and
+// pool size (34 is hetero-flash's peak pool). ns/query is the per-query
+// cost of route + arrive + batch dispatch, the layer fleetbench reports
+// as fleet.slice_ns_per_query.
+func BenchmarkPick(b *testing.B) {
+	for _, router := range []string{WeightedHetero, LeastOutstanding, PowerOfTwo} {
+		for _, n := range []int{8, 34, 96} {
+			b.Run(fmt.Sprintf("%s/n=%d", router, n), func(b *testing.B) {
+				insts, capQPS := scanPool(n)
+				queries := scanQueries(capQPS, 1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ReplaySlice(router, insts, queries, 13)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
+			})
+		}
 	}
 }
