@@ -31,7 +31,9 @@ type Instance struct {
 	Model string // model the server is provisioned for
 	// Weight is the router's capacity signal (QPS): the profiled
 	// latency-bounded capacity of this (type, model) pair, scaled by the
-	// batched saturation gain when dynamic batching is enabled.
+	// batched saturation gain when dynamic batching is enabled. It is
+	// fixed after construction: the instance caches the
+	// heterogeneity-aware router's load key derived from it.
 	Weight float64
 	// Concurrency is the number of query slots (or batch slots, when
 	// batching) the server works on at once.
@@ -42,6 +44,7 @@ type Instance struct {
 	// MaxBatch is the dynamic-batching cap: how many queued queries one
 	// dispatch may coalesce (1 = no batching). BatchWaitS is the longest
 	// a forming batch waits for companions before dispatching anyway.
+	// Both are set by EnableBatching.
 	MaxBatch   int
 	BatchWaitS float64
 
@@ -72,11 +75,23 @@ type Instance struct {
 	pendArr  []float64
 	pendSvc  []float64
 	pendOpen float64
-	// emitted buffers completions of batches launched by Outstanding
-	// (router inspections observe virtual time too — a due batch must
-	// stop counting as pending load the moment its launch instant
-	// passes); the next ArriveBatched or FlushPending drains it.
+	// emitted buffers completions of batches launched by a probe
+	// (Outstanding past nextChg: a due batch stops counting as pending
+	// load the moment its launch instant passes, whoever looks); the
+	// next ArriveBatched or FlushPending drains it.
 	emitted []Completion
+
+	// The cached probe answer, recomputed by rearm after every state
+	// change. nextChg is the earliest instant at which a probe could
+	// retire a completion or launch the forming batch:
+	// min(comps[0], max(pendOpen+BatchWaitS, free[0])), +Inf when
+	// nothing is outstanding. Before it a probe changes nothing, so
+	// Outstanding answers out and the hetero router reads load without
+	// touching the heaps. load is (out+1)/Weight, with weight 1 for an
+	// instance without a positive profiled weight.
+	nextChg float64
+	out     int
+	load    float64
 
 	// Served/Dropped count this slice's admissions and rejections.
 	Served, Dropped int
@@ -117,6 +132,7 @@ func NewInstance(id int, serverType, modelName string, weight float64, concurren
 		MaxBatch:    1,
 		svc:         svc,
 		horizon:     math.Inf(1),
+		nextChg:     math.Inf(-1), // the first probe computes the cache
 		free:        make([]float64, concurrency),
 		comps:       make([]float64, 0, concurrency+queueCap),
 	}
@@ -132,7 +148,7 @@ func (in *Instance) EnableBatching(maxBatch int, waitS float64, eff []float64) {
 		maxBatch = 1
 	}
 	in.MaxBatch = maxBatch
-	in.BatchWaitS = math.Max(waitS, 0)
+	in.BatchWaitS = max(waitS, 0)
 	in.batchEff = eff
 	in.pendID = make([]int64, 0, maxBatch)
 	in.pendArr = make([]float64, 0, maxBatch)
@@ -142,6 +158,7 @@ func (in *Instance) EnableBatching(maxBatch int, waitS float64, eff []float64) {
 	// waiting; size the completion heap once so dispatch appends never
 	// grow it.
 	in.comps = make([]float64, 0, max(in.Concurrency, maxBatch)+in.QueueCap+maxBatch)
+	in.rearm()
 }
 
 // Slowed returns a fresh instance identical to in except that every
@@ -183,6 +200,7 @@ func (in *Instance) ResetSlice(horizonS float64) {
 	}
 	in.horizon = horizonS
 	in.Served, in.Dropped = 0, 0
+	in.rearm()
 }
 
 // Outstanding returns the number of admitted queries not yet complete
@@ -192,9 +210,24 @@ func (in *Instance) ResetSlice(horizonS float64) {
 // FlushPending drains them), so router inspections never see phantom
 // load from a batch that has virtually launched — the launch instant
 // is a function of instance state alone, never of who observes it.
+//
+// Before nextChg no completion is due and no batch can launch, so the
+// answer is the cached count and the probe has no side effect: the
+// fast path returns exactly what advance would, and advance runs only
+// when a probe can change something.
 func (in *Instance) Outstanding(now float64) int {
+	if now < in.nextChg {
+		return in.out
+	}
+	return in.advance(now)
+}
+
+// advance is Outstanding's slow path: it launches the forming batch if
+// its launch instant has passed, retires every completion due by now
+// and re-arms the cache.
+func (in *Instance) advance(now float64) int {
 	if len(in.pendArr) > 0 {
-		if launch := math.Max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
+		if launch := max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
 			in.emitted = in.dispatchPending(launch, in.emitted)
 		}
 	}
@@ -206,7 +239,29 @@ func (in *Instance) Outstanding(now float64) int {
 		siftDown(h, 0)
 	}
 	in.comps = h
-	return len(h) + len(in.pendArr)
+	in.rearm()
+	return in.out
+}
+
+// rearm recomputes the cached probe answer (out, load, nextChg) from
+// the heaps and the forming batch. Every path that changes them ends
+// here. The builtin min and max propagate NaN, so a NaN launch instant
+// arms nextChg to NaN and every probe takes the slow path, as before.
+func (in *Instance) rearm() {
+	in.out = len(in.comps) + len(in.pendArr)
+	w := in.Weight
+	if w <= 0 {
+		w = 1
+	}
+	in.load = float64(in.out+1) / w
+	next := math.Inf(1)
+	if len(in.comps) > 0 {
+		next = in.comps[0]
+	}
+	if len(in.pendArr) > 0 {
+		next = min(next, max(in.pendOpen+in.BatchWaitS, in.free[0]))
+	}
+	in.nextChg = next
 }
 
 // Utilization returns the mean busy fraction of the instance's service
@@ -248,7 +303,9 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 		return 0, 0, true
 	}
 	s := in.svc(size, scale)
-	if math.IsInf(s, 0) || s <= 0 {
+	if !(s > 0) || math.IsInf(s, 1) {
+		// Not a finite positive span (NaN, zero, negative, +Inf): a
+		// NaN would break the heap order and never retire.
 		in.Dropped++
 		return 0, 0, true
 	}
@@ -266,6 +323,7 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 	in.comps = append(in.comps, done)
 	siftUp(in.comps, len(in.comps)-1)
 	in.Served++
+	in.rearm()
 	return start, done, false
 }
 
@@ -281,18 +339,16 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 // whether this query was rejected by the bounded queue
 // (max(Concurrency, MaxBatch) in service plus QueueCap waiting).
 func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64, out []Completion) ([]Completion, bool) {
+	// Outstanding launches a due forming batch into emitted, behind any
+	// completions buffered by earlier probes; drain both in that order.
+	n := in.Outstanding(now)
 	out = in.drainEmitted(out)
-	if len(in.pendArr) > 0 {
-		if launch := math.Max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
-			out = in.dispatchPending(launch, out)
-		}
-	}
-	if in.Outstanding(now) >= max(in.Concurrency, in.MaxBatch)+in.QueueCap {
+	if n >= max(in.Concurrency, in.MaxBatch)+in.QueueCap {
 		in.Dropped++
 		return out, true
 	}
 	s := in.svc(size, scale)
-	if math.IsInf(s, 0) || s <= 0 {
+	if !(s > 0) || math.IsInf(s, 1) {
 		in.Dropped++
 		return out, true
 	}
@@ -303,8 +359,9 @@ func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64
 	in.pendArr = append(in.pendArr, now)
 	in.pendSvc = append(in.pendSvc, s)
 	if len(in.pendArr) >= in.MaxBatch {
-		out = in.dispatchPending(now, out)
+		return in.dispatchPending(now, out), false
 	}
+	in.rearm()
 	return out, false
 }
 
@@ -320,7 +377,7 @@ func (in *Instance) FlushPending(out []Completion) []Completion {
 	if len(in.pendArr) == 0 {
 		return out
 	}
-	return in.dispatchPending(math.Max(in.pendOpen+in.BatchWaitS, in.free[0]), out)
+	return in.dispatchPending(max(in.pendOpen+in.BatchWaitS, in.free[0]), out)
 }
 
 // drainEmitted moves completions buffered by Outstanding-triggered
@@ -385,6 +442,7 @@ func (in *Instance) dispatchPending(at float64, out []Completion) []Completion {
 	in.pendID = in.pendID[:0]
 	in.pendArr = in.pendArr[:0]
 	in.pendSvc = in.pendSvc[:0]
+	in.rearm()
 	return out
 }
 

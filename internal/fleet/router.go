@@ -156,9 +156,13 @@ func (r leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) i
 }
 
 // PickTraced implements TracedRouter. Candidate recording reads only
-// instance IDs, so the Outstanding scan happens exactly as untraced
-// (Outstanding can launch a due batch — the inspection order is part
-// of the replay's determinism contract).
+// instance IDs, so the Outstanding scan happens exactly as untraced.
+// Most probes hit Outstanding's cached fast path, a compare and a
+// load; only an instance whose next completion or batch launch is
+// due by now takes the slow path, which does exactly what an
+// uncached probe would. A probe's effect depends only on the
+// instance's state and now, so the scan order cannot change the
+// replay.
 func (leastOutstanding) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	recordScan(insts, ev)
 	best, bestOut := 0, insts[0].Outstanding(now)
@@ -207,8 +211,10 @@ func (r weightedHetero) Pick(insts []*Instance, now float64, rng *rand.Rand) int
 	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter (see leastOutstanding.PickTraced
-// for the inspection-order caveat).
+// PickTraced implements TracedRouter. Like leastOutstanding's scan,
+// it probes each instance through the cached fast path (see
+// heteroLoad), so the scan is a compare and a load per instance until
+// something is due.
 func (weightedHetero) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	recordScan(insts, ev)
 	best, bestLoad := 0, heteroLoad(insts[0], now)
@@ -220,16 +226,18 @@ func (weightedHetero) PickTraced(insts []*Instance, now float64, rng *rand.Rand,
 	return best
 }
 
-// heteroLoad is the capacity-normalized congestion of an instance: how
-// many "capacity units" the next query would wait behind (Outstanding
-// counts a forming batch's members too, so a batching instance's
-// queued-but-undispatched work is visible to every state-aware
-// policy). Instances without a positive profiled weight fall back to
-// weight 1.
+// heteroLoad is the capacity-normalized congestion of an instance,
+// (Outstanding+1)/Weight: how many "capacity units" the next query
+// would wait behind (Outstanding counts a forming batch's members too,
+// so a batching instance's queued-but-undispatched work is visible to
+// every state-aware policy). Instances without a positive profiled
+// weight fall back to weight 1. The instance caches the key with its
+// outstanding count, so a probe before nextChg reads it without a
+// division; the negated compare sends NaN to the slow path exactly as
+// Outstanding does.
 func heteroLoad(in *Instance, now float64) float64 {
-	w := in.Weight
-	if w <= 0 {
-		w = 1
+	if !(now < in.nextChg) {
+		in.advance(now)
 	}
-	return float64(in.Outstanding(now)+1) / w
+	return in.load
 }
