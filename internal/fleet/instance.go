@@ -216,16 +216,28 @@ func (in *Instance) ResetSlice(horizonS float64) {
 // fast path returns exactly what advance would, and advance runs only
 // when a probe can change something.
 func (in *Instance) Outstanding(now float64) int {
-	if now < in.nextChg {
+	if !in.due(now) {
 		return in.out
 	}
 	return in.advance(now)
 }
 
-// advance is Outstanding's slow path: it launches the forming batch if
-// its launch instant has passed, retires every completion due by now
-// and re-arms the cache.
+// due reports whether a probe at now could change the instance: retire
+// a completion or launch the forming batch. The negated compare makes a
+// NaN instant, or a NaN nextChg, due.
+func (in *Instance) due(now float64) bool { return !(now < in.nextChg) }
+
+// advance is Outstanding's slow path: retire, then re-arm the cache.
 func (in *Instance) advance(now float64) int {
+	in.retire(now)
+	in.rearm()
+	return in.out
+}
+
+// retire launches the forming batch if its launch instant has passed
+// and pops every completion due by now. It leaves the cache stale, so
+// the caller re-arms it once it has finished changing the instance.
+func (in *Instance) retire(now float64) {
 	if len(in.pendArr) > 0 {
 		if launch := max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
 			in.emitted = in.dispatchPending(launch, in.emitted)
@@ -239,8 +251,6 @@ func (in *Instance) advance(now float64) int {
 		siftDown(h, 0)
 	}
 	in.comps = h
-	in.rearm()
-	return in.out
 }
 
 // rearm recomputes the cached probe answer (out, load, nextChg) from
@@ -298,8 +308,14 @@ func (in *Instance) Arrive(now float64, size int, scale float64) (doneAt float64
 // replay can emit enqueue/start/end events without re-deriving queue
 // state.
 func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneAt float64, dropped bool) {
-	if in.Outstanding(now) >= in.Concurrency+in.QueueCap {
+	// Outstanding without its re-arm: this arrival re-arms once, after
+	// it has changed the heaps.
+	if in.due(now) {
+		in.retire(now)
+	}
+	if len(in.comps)+len(in.pendArr) >= in.Concurrency+in.QueueCap {
 		in.Dropped++
+		in.rearm()
 		return 0, 0, true
 	}
 	s := in.svc(size, scale)
@@ -307,6 +323,7 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 		// Not a finite positive span (NaN, zero, negative, +Inf): a
 		// NaN would break the heap order and never retire.
 		in.Dropped++
+		in.rearm()
 		return 0, 0, true
 	}
 	// Earliest-free channel, non-preemptive FCFS: the heap root is the
@@ -339,17 +356,22 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 // whether this query was rejected by the bounded queue
 // (max(Concurrency, MaxBatch) in service plus QueueCap waiting).
 func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64, out []Completion) ([]Completion, bool) {
-	// Outstanding launches a due forming batch into emitted, behind any
-	// completions buffered by earlier probes; drain both in that order.
-	n := in.Outstanding(now)
+	// As in arrive, Outstanding's work without its re-arm. retire
+	// launches a due forming batch into emitted, behind any completions
+	// buffered by earlier probes; drain both in that order.
+	if in.due(now) {
+		in.retire(now)
+	}
 	out = in.drainEmitted(out)
-	if n >= max(in.Concurrency, in.MaxBatch)+in.QueueCap {
+	if len(in.comps)+len(in.pendArr) >= max(in.Concurrency, in.MaxBatch)+in.QueueCap {
 		in.Dropped++
+		in.rearm()
 		return out, true
 	}
 	s := in.svc(size, scale)
 	if !(s > 0) || math.IsInf(s, 1) {
 		in.Dropped++
+		in.rearm()
 		return out, true
 	}
 	if len(in.pendArr) == 0 {
@@ -359,7 +381,7 @@ func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64
 	in.pendArr = append(in.pendArr, now)
 	in.pendSvc = append(in.pendSvc, s)
 	if len(in.pendArr) >= in.MaxBatch {
-		return in.dispatchPending(now, out), false
+		out = in.dispatchPending(now, out)
 	}
 	in.rearm()
 	return out, false
@@ -377,7 +399,9 @@ func (in *Instance) FlushPending(out []Completion) []Completion {
 	if len(in.pendArr) == 0 {
 		return out
 	}
-	return in.dispatchPending(max(in.pendOpen+in.BatchWaitS, in.free[0]), out)
+	out = in.dispatchPending(max(in.pendOpen+in.BatchWaitS, in.free[0]), out)
+	in.rearm()
+	return out
 }
 
 // drainEmitted moves completions buffered by Outstanding-triggered
@@ -442,7 +466,6 @@ func (in *Instance) dispatchPending(at float64, out []Completion) []Completion {
 	in.pendID = in.pendID[:0]
 	in.pendArr = in.pendArr[:0]
 	in.pendSvc = in.pendSvc[:0]
-	in.rearm()
 	return out
 }
 

@@ -232,11 +232,10 @@ func (weightedHetero) PickTraced(insts []*Instance, now float64, rng *rand.Rand,
 // so a batching instance's queued-but-undispatched work is visible to
 // every state-aware policy). Instances without a positive profiled
 // weight fall back to weight 1. The instance caches the key with its
-// outstanding count, so a probe before nextChg reads it without a
-// division; the negated compare sends NaN to the slow path exactly as
-// Outstanding does.
+// outstanding count, so a probe that is not due reads it without a
+// division, exactly as Outstanding reads the count.
 func heteroLoad(in *Instance, now float64) float64 {
-	if !(now < in.nextChg) {
+	if in.due(now) {
 		in.advance(now)
 	}
 	return in.load
