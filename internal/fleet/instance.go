@@ -404,8 +404,8 @@ func (in *Instance) FlushPending(out []Completion) []Completion {
 	return out
 }
 
-// drainEmitted moves completions buffered by Outstanding-triggered
-// dispatches into the caller's sink.
+// drainEmitted moves completions of batches that retire launched
+// into the caller's sink.
 func (in *Instance) drainEmitted(out []Completion) []Completion {
 	if len(in.emitted) > 0 {
 		out = append(out, in.emitted...)
