@@ -256,7 +256,7 @@ func (in *Instance) retire(now float64) {
 // rearm recomputes the cached probe answer (out, load, nextChg) from
 // the heaps and the forming batch. Every path that changes them ends
 // here. The builtin min and max propagate NaN, so a NaN launch instant
-// arms nextChg to NaN and every probe takes the slow path, as before.
+// arms nextChg to NaN, and due sends every probe to the slow path.
 func (in *Instance) rearm() {
 	in.out = len(in.comps) + len(in.pendArr)
 	w := in.Weight

@@ -159,10 +159,9 @@ func (r leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) i
 // instance IDs, so the Outstanding scan happens exactly as untraced.
 // Most probes hit Outstanding's cached fast path, a compare and a
 // load; only an instance whose next completion or batch launch is
-// due by now takes the slow path, which does exactly what an
-// uncached probe would. A probe's effect depends only on the
-// instance's state and now, so the scan order cannot change the
-// replay.
+// due by now takes the slow path, which retires and launches what is
+// due. A probe's effect depends only on the instance's state and now,
+// so the scan order cannot change the replay.
 func (leastOutstanding) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	recordScan(insts, ev)
 	best, bestOut := 0, insts[0].Outstanding(now)
