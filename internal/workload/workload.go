@@ -60,6 +60,10 @@ type Generator struct {
 	nextID    int64
 	clockS    float64
 	poolSigma float64
+	// held is the overshoot query a fill stopped at (hasHeld set): it
+	// arrives past that fill's horizon and is the next call's first.
+	held    Query
+	hasHeld bool
 }
 
 // NewGenerator returns a generator with the given arrival rate and seed.
@@ -76,6 +80,15 @@ func NewGenerator(m *model.Model, rateQPS float64, seed int64) *Generator {
 // Next returns the next query in arrival order. The inter-arrival gap is
 // exponential (Poisson process).
 func (g *Generator) Next() Query {
+	if g.hasHeld {
+		g.hasHeld = false
+		return g.held
+	}
+	return g.draw()
+}
+
+// draw generates a fresh query one exponential gap after the last.
+func (g *Generator) draw() Query {
 	g.clockS += stats.Exponential(g.rng, g.RateQPS)
 	g.nextID++
 	// Lognormal multiplier with mean 1: exp(N(-s²/2, s)).
@@ -96,19 +109,37 @@ func (g *Generator) Until(tS float64) []Query {
 // AppendUntil generates queries until the given virtual time (seconds),
 // appending to buf and returning the extended slice. Callers replaying
 // many intervals reuse one buffer (buf[:0]) so generation stops
-// allocating after the first interval.
+// allocating after the first interval. The first query past tS is held
+// for the next call, so consecutive calls continue one stream:
+// Until(5) then Until(10) yields exactly a fresh Until(10).
 func (g *Generator) AppendUntil(buf []Query, tS float64) []Query {
-	for {
-		q := g.Next()
+	buf, _ = g.AppendUntilN(buf, tS, math.MaxInt)
+	return buf
+}
+
+// AppendUntilN is AppendUntil bounded to n queries: it appends at most
+// n and reports whether the stream reached tS, that is, whether it
+// stopped at a query past tS (held for the next call) rather than at
+// the bound. Filling a fixed-size buffer chunk by chunk until it
+// reports true yields the same stream as one AppendUntil.
+func (g *Generator) AppendUntilN(buf []Query, tS float64, n int) ([]Query, bool) {
+	if g.hasHeld && n > 0 {
+		if g.held.ArrivalS > tS {
+			return buf, true
+		}
+		g.hasHeld = false
+		buf = append(buf, g.held)
+		n--
+	}
+	for ; n > 0; n-- {
+		q := g.draw()
 		if q.ArrivalS > tS {
-			// Push the clock back so the overshoot query is not lost if
-			// the caller continues; simplest is to keep it for next call.
-			g.clockS = q.ArrivalS
-			g.nextID--
-			return buf
+			g.held, g.hasHeld = q, true
+			return buf, true
 		}
 		buf = append(buf, q)
 	}
+	return buf, false
 }
 
 // PoolingFactors draws per-table pooling factors for one query of the

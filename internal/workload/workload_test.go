@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -240,12 +241,40 @@ func TestUntilResumable(t *testing.T) {
 	if len(a) == 0 || len(b) == 0 {
 		t.Fatal("expected queries in both windows")
 	}
-	if b[0].ArrivalS <= a[len(a)-1].ArrivalS {
-		t.Error("second window must continue after the first")
-	}
 	for _, q := range b {
-		if q.ArrivalS > 10 || q.ArrivalS < 5 {
+		if q.ArrivalS > 10 || q.ArrivalS <= 5 {
 			t.Errorf("query at %v outside (5,10]", q.ArrivalS)
+		}
+	}
+	// Resuming loses nothing: the two windows are exactly one fresh
+	// generator's stream to the later horizon.
+	want := NewGenerator(model.DLRMRMC1(model.Prod), 100, 13).Until(10)
+	if got := append(a, b...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Until(5)+Until(10) gave %d queries, fresh Until(10) %d", len(got), len(want))
+	}
+}
+
+// Filling bounded chunks until the horizon yields the one-shot stream,
+// whatever the bound — including a bound that ends a chunk exactly on
+// the stream's last query, and the empty final fill that follows it.
+func TestAppendUntilNChunks(t *testing.T) {
+	want := NewGenerator(model.DLRMRMC1(model.Prod), 200, 5).Until(3)
+	for _, n := range []int{1, 2, 7, len(want) - 1, len(want), len(want) + 1} {
+		g := NewGenerator(model.DLRMRMC1(model.Prod), 200, 5)
+		var got []Query
+		for done := false; !done; {
+			var chunk []Query
+			chunk, done = g.AppendUntilN(make([]Query, 0, n), 3, n)
+			if len(chunk) > n {
+				t.Fatalf("n=%d: chunk of %d", n, len(chunk))
+			}
+			got = append(got, chunk...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: chunked stream of %d queries != one-shot %d", n, len(got), len(want))
+		}
+		if next, fresh := g.Next(), NewGenerator(model.DLRMRMC1(model.Prod), 200, 5).Until(4); next != fresh[len(want)] {
+			t.Fatalf("n=%d: the held query was not returned next", n)
 		}
 	}
 }
