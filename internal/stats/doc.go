@@ -8,7 +8,8 @@
 // The surface: Sample collects values and answers percentile queries
 // (the tail-latency plumbing of every layer); PercentileSorted and
 // PercentileSelect serve hot loops that manage their own buffers — the
-// latter via in-place quickselect, O(n) for a few percentile points;
+// latter via in-place quickselect, O(n) for a few percentile points,
+// with PercentilesSelect chaining ascending points through one buffer;
 // Histogram and Welford
 // cover binned distributions and running moments; NewZipf/ZipfMass back
 // the hot-embedding skew of internal/partition; Lognormal, Poisson and

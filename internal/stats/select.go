@@ -5,39 +5,64 @@ package stats
 // but finds the two needed order statistics by in-place quickselect
 // instead of a full sort: O(n) expected instead of O(n log n). The
 // slice is partially reordered. Hot loops that read only a few
-// percentile points per buffer (the fleet replay merge) use this; code
-// that reads many points should sort once and use PercentileSorted.
+// percentile points per buffer (the fleet replay merge) use this or
+// PercentilesSelect; code that reads many points should sort once and
+// use PercentileSorted.
 func PercentileSelect(xs []float64, p float64) float64 {
+	var out [1]float64
+	PercentilesSelect(xs, []float64{p}, out[:])
+	return out[0]
+}
+
+// PercentilesSelect sets out[i] to PercentileSelect(xs, ps[i]) for
+// percentiles ps in ascending order, chaining the selects: each one
+// runs inside the upper partition the previous select left (every
+// element there is ≥ the order statistic it placed), so a few points
+// cost little more than one select over the whole buffer. The results
+// are the same order statistics, bit for bit. out must hold len(ps)
+// values; the slice is partially reordered. A percentile below its
+// predecessor restarts the chain over the whole slice.
+func PercentilesSelect(xs, ps, out []float64) {
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return xs[0]
-	}
-	rank := p / 100 * float64(n-1)
-	if p <= 0 {
-		rank = 0
-	}
-	if p >= 100 {
-		rank = float64(n - 1)
-	}
-	lo := int(rank)
-	quickSelect(xs, lo)
-	vlo := xs[lo]
-	frac := rank - float64(lo)
-	if frac == 0 {
-		return vlo
-	}
-	// The (lo+1)-th order statistic is the minimum of the right
-	// partition quickSelect leaves behind.
-	vhi := xs[lo+1]
-	for _, x := range xs[lo+2:] {
-		if x < vhi {
-			vhi = x
+	base := 0 // xs[:base] holds no order statistic still to find
+	for i, p := range ps {
+		switch n {
+		case 0:
+			out[i] = 0
+			continue
+		case 1:
+			out[i] = xs[0]
+			continue
 		}
+		rank := p / 100 * float64(n-1)
+		if p <= 0 {
+			rank = 0
+		}
+		if p >= 100 {
+			rank = float64(n - 1)
+		}
+		lo := int(rank)
+		if lo < base {
+			base = 0
+		}
+		quickSelect(xs[base:], lo-base)
+		base = lo
+		vlo := xs[lo]
+		frac := rank - float64(lo)
+		if frac == 0 {
+			out[i] = vlo
+			continue
+		}
+		// The (lo+1)-th order statistic is the minimum of the right
+		// partition quickSelect leaves behind.
+		vhi := xs[lo+1]
+		for _, x := range xs[lo+2:] {
+			if x < vhi {
+				vhi = x
+			}
+		}
+		out[i] = vlo*(1-frac) + vhi*frac
 	}
-	return vlo*(1-frac) + vhi*frac
 }
 
 // quickSelect reorders xs so xs[k] holds its sorted-order value, every
