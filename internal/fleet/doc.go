@@ -122,7 +122,11 @@
 // interval, with its own seeded RNG streams. The tasks share nothing,
 // so they run concurrently on up to GOMAXPROCS workers, and the worker
 // count cannot change a result — a replay is a pure function of its
-// spec.
+// spec. A task reads its stream in 1024-query chunks from a small ring;
+// a task offered more than its fair share of the load has them filled
+// by a producer goroutine, overlapping query generation with routing,
+// which likewise changes no result. CPU profiles label the replay's
+// stages stage=generate, route and merge.
 //
 // The replay loop is engineered to stay off the allocator and the
 // garbage collector: instance queues are index-based float64 min-heaps

@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"sync"
@@ -870,6 +873,25 @@ func (e *Engine) concurrency(serverType, modelName string, qps float64) int {
 	return stats.ClampInt(int(math.Ceil(qps*mean)), 1, 256)
 }
 
+// chunkLen bounds the queries one fill of a task's stream produces
+// (before shed thinning): 1024 queries, 32 KiB — cache-sized, and
+// long enough that handing a chunk between goroutines costs well under
+// a nanosecond per query.
+const chunkLen = 1024
+
+// ringSlots is the number of chunkLen slots in a task's ring: one being
+// routed, one being filled, and slack so a producer preempted for a
+// moment does not stall its router.
+const ringSlots = 4
+
+// Profile labels of the replay's stages, built once: applying one with
+// pprof.SetGoroutineLabels neither allocates nor reads a clock.
+var (
+	generateLabels = pprof.WithLabels(context.Background(), pprof.Labels("stage", "generate"))
+	routeLabels    = pprof.WithLabels(context.Background(), pprof.Labels("stage", "route"))
+	mergeLabels    = pprof.WithLabels(context.Background(), pprof.Labels("stage", "merge"))
+)
+
 // poolTask is one model's replay task for an interval: the model's
 // whole effective pool plus its admitted query stream, routed by one
 // router over one seeded RNG stream. Tasks of different models (and
@@ -879,19 +901,36 @@ func (e *Engine) concurrency(serverType, modelName string, qps float64) int {
 type poolTask struct {
 	modelName string
 	insts     []*Instance
-	queries   []workload.Query
 
-	// The stream admit builds: the recorded arrivals already in queries
-	// when fromTrace, else qps of model generated from genSeed with
-	// sizes scaled by sizeScale; then thinned by shedFrac on the
+	// The admitted stream, read in chunks (fill): the recorded arrivals
+	// in rec when fromTrace, else qps of model generated from genSeed
+	// with sizes scaled by sizeScale; then thinned by shedFrac on the
 	// shedSeed stream.
 	fromTrace bool
+	rec       []workload.Query // recorded arrivals not yet read (never written)
 	model     *model.Model
 	qps       float64
 	genSeed   int64
 	sizeScale float64
 	shedFrac  float64
 	shedSeed  int64
+
+	// Stream state, owned by whichever goroutine fills the chunks: run
+	// itself, or the producer run starts when produce is set.
+	gen     *workload.Generator
+	genDone bool
+	shedR   *rand.Rand
+	shed    int // queries rejected at the door
+
+	// ring holds ringSlots chunks reused across intervals. produce (set
+	// by runInterval) fills them on a producer goroutine one chunk ahead
+	// of routing, handed over full and back free. Like the worker
+	// count, it is a scheduling choice: the chunks are the same either
+	// way. producerRuns counts the intervals that used one.
+	ring         []workload.Query
+	produce      bool
+	full, free   chan []workload.Query
+	producerRuns int
 
 	newRouter func() Router
 	seed      int64
@@ -945,8 +984,8 @@ type poolTask struct {
 	winLatMS [][]float64    // per-window latency samples (ms)
 	winSk    []stats.Sketch // per-window sketches (ms), when useSketch
 	winDrops []int
+	admitted int // queries past the door
 	dropped  int
-	shed     int // queries rejected at the door
 	hits     int // queries the cache tier served
 }
 
@@ -954,7 +993,8 @@ type poolTask struct {
 // count, reusing every backing array. Tracing is re-armed separately
 // (the engine arms trace/door/traceOn per model).
 func (w *poolTask) reset(windows int, useSketch bool) {
-	w.queries = w.queries[:0]
+	w.rec = nil
+	w.admitted = 0
 	w.dropped = 0
 	w.shed = 0
 	w.hits = 0
@@ -1075,63 +1115,121 @@ func (w *poolTask) serve(wi int, id int64, instID int, arrS, startS, doneS float
 	ev.Value = doneS - arrS
 }
 
-// admit builds the task's query stream — the recorded arrivals, or a
-// fresh generator's — thinned in place by the door's shed fraction.
-// With tracing on, the door buffer records the interval's offer (the
-// offered load and slice the replay provisioned with — what lets a
-// recorded trace re-provision identically on re-ingestion), then
+// openStream arms the task's admitted stream: the generator (unless
+// the arrivals are recorded) and the shed stream. With tracing on, the
+// door buffer first records the interval's offer (the offered load and
+// slice the replay provisioned with — what lets a recorded trace
+// re-provision identically on re-ingestion); fill then adds
 // arrival+shed pairs of sampled shed queries.
-func (w *poolTask) admit() {
-	queries := w.queries
-	if !w.fromTrace {
-		gen := workload.NewGenerator(w.model, w.qps, w.genSeed)
-		if w.sizeScale != 1 {
-			// Shift the lognormal's median: the mix rotation makes every
-			// query sizeScale× heavier without touching the arrival
-			// process.
-			gen.Sizes.Mu += math.Log(w.sizeScale)
-		}
-		queries = gen.AppendUntil(w.queries[:0], w.sliceS)
-	}
+func (w *poolTask) openStream() {
 	if w.traceOn {
 		ev := w.door.Emit(telemetry.KindOffer, -1, 0)
 		ev.Value = w.qps
 		ev.Aux = w.sliceS
 	}
-	if w.shedFrac > 0 {
-		// Admission control drops a deterministic Bernoulli thinning of
-		// the stream; shed queries never reach a router.
-		shedR := stats.NewRand(w.shedSeed)
-		kept := queries[:0]
-		for _, q := range queries {
-			if shedR.Float64() < w.shedFrac {
-				w.shed++
-				if w.traceOn && w.door.Sampled(q.ID) {
-					ev := w.door.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
-					ev.Value = float64(q.Size)
-					ev.Aux = q.SparseScale
-					ev = w.door.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
-					ev.Value = w.shedFrac
-				}
-				continue
-			}
-			kept = append(kept, q)
+	w.genDone = w.fromTrace
+	if !w.fromTrace {
+		w.gen = workload.NewGenerator(w.model, w.qps, w.genSeed)
+		if w.sizeScale != 1 {
+			// Shift the lognormal's median: the mix rotation makes every
+			// query sizeScale× heavier without touching the arrival
+			// process.
+			w.gen.Sizes.Mu += math.Log(w.sizeScale)
 		}
-		queries = kept
 	}
-	w.queries = queries
+	w.shedR = nil
+	if w.shedFrac > 0 {
+		w.shedR = stats.NewRand(w.shedSeed)
+	}
 }
 
-// run replays the task's query stream over its pool. Unbatched
-// service is the MaxBatch <= 1 case of the one loop: such instances
-// answer each arrival immediately; batching instances emit latencies
-// when their batches dispatch (window expiry, a full batch, or the
-// end-of-slice drain), bucketed into observation windows by each
-// query's own arrival instant. Pools mix batched and unbatched
-// instances (each pair derives its own batch cap from the measured
-// efficiency curve), so the loop branches per pick.
+// drained reports whether fill has read the whole stream.
+func (w *poolTask) drained() bool { return w.genDone && len(w.rec) == 0 }
+
+// fill returns the stream's next chunk: up to chunkLen arrivals,
+// thinned by the door's shed fraction, so possibly empty. A generated
+// or thinned chunk is written into buf, a chunkLen ring slot; an
+// unthinned recorded chunk is the recording's own subslice. Filling
+// chunk by chunk until drained yields exactly the one-shot stream.
+func (w *poolTask) fill(buf []workload.Query) []workload.Query {
+	var raw []workload.Query
+	if n := min(len(w.rec), chunkLen); n > 0 {
+		raw, w.rec = w.rec[:n], w.rec[n:]
+	} else {
+		raw, w.genDone = w.gen.AppendUntilN(buf[:0], w.sliceS, chunkLen)
+	}
+	if w.shedR == nil {
+		return raw
+	}
+	// Admission control drops a deterministic Bernoulli thinning of the
+	// stream; shed queries never reach a router. Thinning works in place
+	// when raw is buf: the kept prefix never overtakes the read.
+	kept := buf[:0]
+	for _, q := range raw {
+		if w.shedR.Float64() < w.shedFrac {
+			w.shed++
+			if w.traceOn && w.door.Sampled(q.ID) {
+				ev := w.door.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
+				ev.Value = float64(q.Size)
+				ev.Aux = q.SparseScale
+				ev = w.door.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
+				ev.Value = w.shedFrac
+			}
+			continue
+		}
+		kept = append(kept, q)
+	}
+	return kept
+}
+
+// slot returns ring slot i, empty with capacity chunkLen.
+func (w *poolTask) slot(i int) []workload.Query {
+	return w.ring[i*chunkLen : i*chunkLen : (i+1)*chunkLen]
+}
+
+// startProducer starts the producer goroutine on an opened stream. The
+// caller receives the chunks from full until a nil one, returning each
+// slot to free once done with it.
+func (w *poolTask) startProducer() {
+	w.producerRuns++
+	if w.full == nil {
+		// Each channel holds at most every slot at once.
+		w.full = make(chan []workload.Query, ringSlots)
+		w.free = make(chan []workload.Query, ringSlots)
+		for i := range ringSlots {
+			w.free <- w.slot(i)
+		}
+	}
+	go w.producer()
+}
+
+// producer fills the ring's free slots with the stream's chunks and
+// hands each non-empty one over in order, then a nil chunk marking the
+// end, and exits. It is the only goroutine touching the stream state
+// (and the door buffer) until that nil is received.
+func (w *poolTask) producer() {
+	pprof.SetGoroutineLabels(generateLabels)
+	for !w.drained() {
+		buf := <-w.free
+		chunk := w.fill(buf)
+		if len(chunk) == 0 {
+			w.free <- buf // cannot block: the slot came from free
+			continue
+		}
+		w.full <- chunk
+	}
+	w.full <- nil
+}
+
+// run replays the task's admitted stream over its pool, chunk by chunk
+// as fill produces it (on a producer goroutine when produce is set).
+// Unbatched service is the MaxBatch <= 1 case of the one loop: such
+// instances answer each arrival immediately; batching instances emit
+// latencies when their batches dispatch (window expiry, a full batch,
+// or the end-of-slice drain), bucketed into observation windows by
+// each query's own arrival instant.
 func (w *poolTask) run() {
-	w.admit()
+	w.openStream()
 	router := w.newRouter()
 	trouter, _ := router.(TracedRouter)
 	rng := stats.NewRand(w.seed)
@@ -1143,7 +1241,37 @@ func (w *poolTask) run() {
 		// forming batch plus a full-batch dispatch including itself.
 		w.comps = make([]Completion, 0, 2*w.maxBatch)
 	}
-	for _, q := range w.queries {
+	if w.produce {
+		w.startProducer()
+		for chunk := <-w.full; chunk != nil; chunk = <-w.full {
+			w.route(chunk, router, trouter, rng)
+			w.free <- chunk[:0]
+		}
+	} else {
+		var buf []workload.Query
+		if w.ring != nil {
+			buf = w.slot(0)
+		}
+		for !w.drained() {
+			w.route(w.fill(buf), router, trouter, rng)
+		}
+	}
+	for _, in := range w.insts {
+		if in.MaxBatch <= 1 {
+			continue
+		}
+		comps := in.FlushPending(w.comps[:0])
+		w.comps = comps[:0]
+		w.record(in.ID, comps)
+	}
+}
+
+// route replays one chunk of admitted queries. Pools mix batched and
+// unbatched instances (each pair derives its own batch cap from the
+// measured efficiency curve), so the loop branches per pick.
+func (w *poolTask) route(chunk []workload.Query, router Router, trouter TracedRouter, rng *rand.Rand) {
+	w.admitted += len(chunk)
+	for _, q := range chunk {
 		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
 		remote := w.remoteFrac > 0 && cacheHit(w.remoteStream, q.ID, w.remoteFrac)
 		sampled := w.traceOn && w.trace.Sampled(q.ID)
@@ -1200,14 +1328,6 @@ func (w *poolTask) run() {
 			ev.Instance = int32(in.ID)
 			ev.Value = float64(pos)
 		}
-		w.record(in.ID, comps)
-	}
-	for _, in := range w.insts {
-		if in.MaxBatch <= 1 {
-			continue
-		}
-		comps := in.FlushPending(w.comps[:0])
-		w.comps = comps[:0]
 		w.record(in.ID, comps)
 	}
 }
@@ -1282,6 +1402,9 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 	for mi, m := range names {
 		t := tasks[mi]
 		t.reset(windows, e.Opts.SketchTails)
+		if t.ring == nil {
+			t.ring = make([]workload.Query, ringSlots*chunkLen)
+		}
 		mh := hashString(m)
 		t.modelName = m
 		t.model = e.models[m]
@@ -1309,13 +1432,14 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			t.door.Arm(tr, idx, m, mh)
 			t.traceOn = true
 		}
-		// The task builds its own stream when it runs (admit), from a
-		// copy of the recorded arrivals when there are any: the shed
-		// thinning works in place. Mix shifts are skipped along with
-		// load scaling — both are already baked into the recording.
+		// The task builds its own stream when it runs (fill), reading
+		// the recorded arrivals when there are any: the shed thinning
+		// writes the kept ones into the task's ring. Mix shifts are
+		// skipped along with load scaling — both are already baked into
+		// the recording.
 		t.fromTrace = e.TraceSrc != nil
 		if t.fromTrace {
-			t.queries = append(t.queries, e.TraceSrc.Queries(idx, m)...)
+			t.rec = e.TraceSrc.Queries(idx, m)
 		}
 		t.qps = loads[m]
 		t.genSeed = mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi))
@@ -1360,22 +1484,36 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 // each engine's longest first by offered load (its tasks share one
 // slice, so load orders them by query count), which keeps an engine's
 // tail short when one model's stream dominates.
+//
+// A task offered more than the fair share Σqps / workers outlasts the
+// others however they are dispatched, so its stream is generated on a
+// producer goroutine a chunk ahead of its router, on a core the other
+// tasks leave idle. The chunks are the same either way, so this too is
+// a scheduling choice only.
 func runInterval(engines []*Engine) {
 	var order []*poolTask
+	var offered float64
 	for _, e := range engines {
 		start := len(order)
 		order = append(order, e.run.tasks...)
 		slices.SortFunc(order[start:], func(a, b *poolTask) int { return cmp.Compare(b.qps, a.qps) })
 		e.scratch.pending.Add(len(e.run.tasks))
 	}
+	for _, t := range order {
+		offered += t.qps
+	}
 	//lint:allow wallclock the worker count schedules independent tasks; it never reaches a result
 	workers := min(runtime.GOMAXPROCS(0), len(order))
+	for _, t := range order {
+		t.produce = workers > 1 && !t.fromTrace && t.qps > offered/float64(workers)
+	}
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			pprof.SetGoroutineLabels(routeLabels)
 			for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
 				order[i].run()
 				order[i].pending.Done()
@@ -1401,6 +1539,10 @@ func (e *Engine) finishInterval() {
 	r := e.run
 	ist := &r.ist
 	if len(r.tasks) > 0 {
+		// Profiles attribute the drain, merge and sweep to one stage. The
+		// caller's goroutine is left unlabelled afterwards: its own
+		// labels cannot be read back to restore.
+		pprof.SetGoroutineLabels(mergeLabels)
 		// Flushing per interval streams exports instead of accumulating
 		// a day.
 		if tr := e.Tracer; tr != nil {
@@ -1414,6 +1556,7 @@ func (e *Engine) finishInterval() {
 		}
 		e.mergeTails(r.tasks)
 		e.sweepEnergy(r.tasks)
+		pprof.SetGoroutineLabels(context.Background())
 	}
 	if e.gridTL != nil {
 		ist.GridGPerKWh = e.gridTL.At(ist.Index)
@@ -1499,10 +1642,11 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 					breached[w] = true
 				}
 			}
-			ist.ModelP95MS[m] = stats.PercentileSelect(allBuf[start:], 95)
-			ist.ModelP99MS[m] = stats.PercentileSelect(allBuf[start:], 99)
+			var tail [2]float64
+			stats.PercentilesSelect(allBuf[start:], []float64{95, 99}, tail[:])
+			ist.ModelP95MS[m], ist.ModelP99MS[m] = tail[0], tail[1]
 		}
-		queries := len(t.queries)
+		queries := t.admitted
 		ist.Shed += t.shed
 		ist.Queries += queries
 		ist.Drops += t.dropped
@@ -1524,9 +1668,9 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 		ist.P95MS = scr.allSk.Quantile(95)
 		ist.P99MS = scr.allSk.Quantile(99)
 	} else {
-		ist.P50MS = stats.PercentileSelect(allBuf, 50)
-		ist.P95MS = stats.PercentileSelect(allBuf, 95)
-		ist.P99MS = stats.PercentileSelect(allBuf, 99)
+		var pct [3]float64
+		stats.PercentilesSelect(allBuf, []float64{50, 95, 99}, pct[:])
+		ist.P50MS, ist.P95MS, ist.P99MS = pct[0], pct[1], pct[2]
 		scr.allBuf = allBuf[:0]
 	}
 	if e.cacheActive {
@@ -1611,7 +1755,7 @@ func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query,
 	t := &poolTask{insts: insts, fromTrace: true, newRouter: newRouter, seed: seed,
 		windowW: math.Inf(1), maxBatch: 1}
 	t.reset(1, false)
-	t.queries = queries
+	t.rec = queries
 	t.run()
 	lat := t.winLatMS[0]
 	for i := range lat {

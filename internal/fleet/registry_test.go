@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,8 +14,12 @@ type noopRouter struct{}
 func (noopRouter) Name() string                                            { return "noop" }
 func (noopRouter) Pick(insts []*Instance, now float64, rng *rand.Rand) int { return 0 }
 
+// registerNoop registers the test router once per process, so the
+// test repeats under -count or a -cpu list.
+var registerNoop sync.Once
+
 func TestRegistryRegisterAndLookup(t *testing.T) {
-	RegisterRouter("registry-test-noop", func() Router { return noopRouter{} })
+	registerNoop.Do(func() { RegisterRouter("registry-test-noop", func() Router { return noopRouter{} }) })
 	r, err := NewRouter("registry-test-noop")
 	if err != nil || r == nil {
 		t.Fatalf("registered router not constructible: %v", err)
@@ -65,9 +71,14 @@ func TestRegistryUnknownNameErrorListsRegistered(t *testing.T) {
 	}
 }
 
+// concurrentRuns numbers TestRegistryConcurrentLookup's runs: each
+// repetition registers a fresh name.
+var concurrentRuns atomic.Int32
+
 func TestRegistryConcurrentLookup(t *testing.T) {
 	// Lookups race against a registration; the race CI job runs this
 	// under -race, which is the real assertion.
+	name := "registry-test-concurrent-" + strconv.Itoa(int(concurrentRuns.Add(1)))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 8; i++ {
@@ -88,7 +99,7 @@ func TestRegistryConcurrentLookup(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		RegisterRouter("registry-test-concurrent", func() Router { return noopRouter{} })
+		RegisterRouter(name, func() Router { return noopRouter{} })
 	}()
 	close(start)
 	wg.Wait()

@@ -215,7 +215,7 @@ func (ts *TraceSource) Steps() int { return ts.steps }
 
 // Queries returns one (interval, model) arrival stream in query-ID
 // (= arrival) order. The returned slice is the source's own — callers
-// that mutate (the engine's shed thinning does) must copy first.
+// that mutate it must copy first.
 func (ts *TraceSource) Queries(interval int, model string) []workload.Query {
 	return ts.arrivals[traceKey{interval, model}]
 }

@@ -267,7 +267,7 @@ func TestTracedDropInstance(t *testing.T) {
 			newRouter: func() Router { return &roundRobin{} }}
 		w.reset(1, false)
 		for i := 0; i < 3; i++ {
-			w.queries = append(w.queries, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
+			w.rec = append(w.rec, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
 		}
 		w.trace.Arm(telemetry.NewTracer(1, 1, telemetry.DefaultRingCap), 0, "DLRM-RMC1", hashString("DLRM-RMC1"))
 		w.traceOn = true

@@ -165,3 +165,32 @@ func TestRegionsWorkerCountInvariance(t *testing.T) {
 		return res, trace
 	})
 }
+
+// TestProducerFairShare: workerWorkloads offers RMC1 57% of the day's
+// load, above the fair share Σqps / workers once there are two
+// workers, so RMC1's stream (and only its) is generated on a producer
+// goroutine at GOMAXPROCS 2 and 8; at GOMAXPROCS 1 there is no idle
+// core and no task gets one.
+func TestProducerFairShare(t *testing.T) {
+	spec := Spec{Router: WeightedHetero, Policy: "greedy", Admission: "deadline",
+		Models: []string{"DLRM-RMC1", "DLRM-RMC2", "DLRM-RMC3"}, HeadroomR: 0.05, Options: testOpts()}
+	for _, procs := range workerProcs {
+		atProcs(procs, func() {
+			e, err := NewEngine(spec, WithFleet(workerFleet()), WithTable(workerTable()),
+				WithService(constBatchSource{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RunDay(workerWorkloads()); err != nil {
+				t.Fatal(err)
+			}
+			for i, task := range e.scratch.tasks {
+				want := procs > 1 && task.modelName == "DLRM-RMC1"
+				if got := task.producerRuns > 0; got != want {
+					t.Errorf("GOMAXPROCS=%d: task %d (%s) ran %d intervals with a producer, want producer %v",
+						procs, i, task.modelName, task.producerRuns, want)
+				}
+			}
+		})
+	}
+}
