@@ -881,7 +881,8 @@ const chunkLen = 1024
 
 // ringSlots is the number of chunkLen slots in a task's ring: one being
 // routed, one being filled, and slack so a producer preempted for a
-// moment does not stall its router.
+// moment does not stall its router (on week-steady, two slots measured
+// slower and eight no faster).
 const ringSlots = 4
 
 // Profile labels of the replay's stages, built once: applying one with
@@ -918,19 +919,18 @@ type poolTask struct {
 	// Stream state, owned by whichever goroutine fills the chunks: run
 	// itself, or the producer run starts when produce is set.
 	gen     *workload.Generator
-	genDone bool
+	genDone bool // the generator reached the slice end (always, when recorded)
 	shedR   *rand.Rand
 	shed    int // queries rejected at the door
 
 	// ring holds ringSlots chunks reused across intervals. produce (set
 	// by runInterval) fills them on a producer goroutine one chunk ahead
-	// of routing, handed over full and back free. Like the worker
-	// count, it is a scheduling choice: the chunks are the same either
-	// way. producerRuns counts the intervals that used one.
-	ring         []workload.Query
-	produce      bool
-	full, free   chan []workload.Query
-	producerRuns int
+	// of routing, handed over full and back free (the channels are made
+	// when a task first needs them). Like the worker count, it is a
+	// scheduling choice: the chunks are the same either way.
+	ring       []workload.Query
+	produce    bool
+	full, free chan []workload.Query
 
 	newRouter func() Router
 	seed      int64
@@ -1191,7 +1191,6 @@ func (w *poolTask) slot(i int) []workload.Query {
 // caller receives the chunks from full until a nil one, returning each
 // slot to free once done with it.
 func (w *poolTask) startProducer() {
-	w.producerRuns++
 	if w.full == nil {
 		// Each channel holds at most every slot at once.
 		w.full = make(chan []workload.Query, ringSlots)

@@ -184,11 +184,11 @@ func TestProducerFairShare(t *testing.T) {
 			if _, err := e.RunDay(workerWorkloads()); err != nil {
 				t.Fatal(err)
 			}
-			for i, task := range e.scratch.tasks {
+			// A task's ring channels exist once it has run a producer.
+			for _, task := range e.scratch.tasks {
 				want := procs > 1 && task.modelName == "DLRM-RMC1"
-				if got := task.producerRuns > 0; got != want {
-					t.Errorf("GOMAXPROCS=%d: task %d (%s) ran %d intervals with a producer, want producer %v",
-						procs, i, task.modelName, task.producerRuns, want)
+				if got := task.full != nil; got != want {
+					t.Errorf("GOMAXPROCS=%d: %s ran a producer: %v, want %v", procs, task.modelName, got, want)
 				}
 			}
 		})
