@@ -1484,11 +1484,13 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 // slice, so load orders them by query count), which keeps an engine's
 // tail short when one model's stream dominates.
 //
-// A task offered more than the fair share Σqps / workers outlasts the
-// others however they are dispatched, so its stream is generated on a
-// producer goroutine a chunk ahead of its router, on a core the other
-// tasks leave idle. The chunks are the same either way, so this too is
-// a scheduling choice only.
+// A task offered more than the fair share Σqps / max(workers, 2)
+// outlasts the others however they are dispatched, so when there is a
+// second core its stream is generated on a producer goroutine a chunk
+// ahead of its router, on a core the other tasks leave idle. A lone
+// task always qualifies: its one worker leaves every other core idle.
+// The chunks are the same either way, so this too is a scheduling
+// choice only.
 func runInterval(engines []*Engine) {
 	var order []*poolTask
 	var offered float64
@@ -1502,9 +1504,11 @@ func runInterval(engines []*Engine) {
 		offered += t.qps
 	}
 	//lint:allow wallclock the worker count schedules independent tasks; it never reaches a result
-	workers := min(runtime.GOMAXPROCS(0), len(order))
+	procs := runtime.GOMAXPROCS(0)
+	workers := min(procs, len(order))
+	share := offered / float64(max(workers, 2))
 	for _, t := range order {
-		t.produce = workers > 1 && !t.fromTrace && t.qps > offered/float64(workers)
+		t.produce = procs > 1 && !t.fromTrace && t.qps > share
 	}
 	var next atomic.Int32
 	var wg sync.WaitGroup

@@ -166,31 +166,61 @@ func TestRegionsWorkerCountInvariance(t *testing.T) {
 	})
 }
 
+// TestOneModelWorkerCountInvariance: a one-model day is a single task
+// per interval, whose stream a producer goroutine fills once there is a
+// second core; the result must not notice.
+func TestOneModelWorkerCountInvariance(t *testing.T) {
+	opts := testOpts()
+	opts.TraceSample = 1
+	spec := Spec{Router: WeightedHetero, Policy: "greedy", Admission: "deadline",
+		Models: []string{"DLRM-RMC1"}, HeadroomR: 0.05, Options: opts}
+	checkWorkerInvariance(t, func() (DayResult, []byte) {
+		e, err := NewEngine(spec, WithFleet(workerFleet()), WithTable(workerTable()),
+			WithService(constBatchSource{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tracedDay(t, []*Engine{e}, func() (DayResult, error) { return e.RunDay(workerWorkloads()[:1]) })
+	})
+}
+
 // TestProducerFairShare: workerWorkloads offers RMC1 57% of the day's
 // load, above the fair share Σqps / workers once there are two
 // workers, so RMC1's stream (and only its) is generated on a producer
 // goroutine at GOMAXPROCS 2 and 8; at GOMAXPROCS 1 there is no idle
-// core and no task gets one.
+// core and no task gets one. A one-model day's lone task gets a
+// producer whenever there is a second core.
 func TestProducerFairShare(t *testing.T) {
-	spec := Spec{Router: WeightedHetero, Policy: "greedy", Admission: "deadline",
-		Models: []string{"DLRM-RMC1", "DLRM-RMC2", "DLRM-RMC3"}, HeadroomR: 0.05, Options: testOpts()}
-	for _, procs := range workerProcs {
-		atProcs(procs, func() {
-			e, err := NewEngine(spec, WithFleet(workerFleet()), WithTable(workerTable()),
-				WithService(constBatchSource{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.RunDay(workerWorkloads()); err != nil {
-				t.Fatal(err)
-			}
-			// A task's ring channels exist once it has run a producer.
-			for _, task := range e.scratch.tasks {
-				want := procs > 1 && task.modelName == "DLRM-RMC1"
-				if got := task.full != nil; got != want {
-					t.Errorf("GOMAXPROCS=%d: %s ran a producer: %v, want %v", procs, task.modelName, got, want)
+	for _, tc := range []struct {
+		name   string
+		models int
+	}{{"three models", 3}, {"one model", 1}} {
+		ws := workerWorkloads()[:tc.models]
+		var models []string
+		for _, w := range ws {
+			models = append(models, w.Model)
+		}
+		spec := Spec{Router: WeightedHetero, Policy: "greedy", Admission: "deadline",
+			Models: models, HeadroomR: 0.05, Options: testOpts()}
+		for _, procs := range workerProcs {
+			atProcs(procs, func() {
+				e, err := NewEngine(spec, WithFleet(workerFleet()), WithTable(workerTable()),
+					WithService(constBatchSource{}))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				if _, err := e.RunDay(ws); err != nil {
+					t.Fatal(err)
+				}
+				// A task's ring channels exist once it has run a producer.
+				for _, task := range e.scratch.tasks {
+					want := procs > 1 && task.modelName == "DLRM-RMC1"
+					if got := task.full != nil; got != want {
+						t.Errorf("%s, GOMAXPROCS=%d: %s ran a producer: %v, want %v",
+							tc.name, procs, task.modelName, got, want)
+					}
+				}
+			})
+		}
 	}
 }
