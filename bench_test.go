@@ -8,10 +8,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// For machine-readable reports and regression gating against the
-// committed BENCH_fleet.json baseline, run the suite through the
-// harness instead: `go run ./cmd/hercules-bench` (see
-// internal/perfbench and the Performance section of EXPERIMENTS.md).
+// These are paper figures, not performance gates: the fleet replay's
+// speed is measured by fleetbench (fleetbench/README.md), which CI's
+// bench-gate job runs against BENCH_fleet.json.
 //
 // Individual figures: go test -bench=BenchmarkFig14 etc. The expensive
 // shared artifact (the Fig. 9b efficiency table over 6 models × 10
@@ -24,7 +23,6 @@ import (
 	"testing"
 
 	"hercules/internal/experiments"
-	"hercules/internal/fleet"
 )
 
 // printOnce renders the experiment output on the first iteration only.
@@ -238,147 +236,6 @@ func BenchmarkHeadline_HerculesVsGreedy(b *testing.B) {
 		b.ReportMetric(r.CapSaveAvg*100, "capacity_avg_pct_paper_22.8")
 		b.ReportMetric(r.PowerSavePeak*100, "power_peak_pct_paper_23.7")
 		b.ReportMetric(r.PowerSaveAvg*100, "power_avg_pct_paper_9.1")
-	}
-}
-
-// BenchmarkFleetDay locks in the fleet engine's performance target: a
-// single-router replay of a full diurnal day (24 hourly intervals,
-// ~1M routed queries) at cluster scale must complete in a few hundred
-// milliseconds. The one-time serving-table calibration runs outside
-// the timer; the first iteration additionally fills the shared
-// service-time grids, which is why hercules-bench gates on
-// per-repetition minima. CI compares this benchmark's report against
-// BENCH_fleet.json via `hercules-bench -compare` on every push.
-func BenchmarkFleetDay(b *testing.B) {
-	if _, err := experiments.FleetTable(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		day, err := experiments.FleetDay(fleet.PowerOfTwo, "hercules", experiments.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("fleet day: %d queries, %.1f violation min, %.2f%% drops, %.1f MJ\n",
-				day.TotalQueries, day.SLAViolationMin, day.DropFrac*100, day.EnergyKJ/1e3)
-		}
-		b.ReportMetric(float64(day.TotalQueries), "queries")
-		b.ReportMetric(day.SLAViolationMin, "sla_violation_min")
-		b.ReportMetric(day.DropFrac*100, "drop_pct")
-	}
-}
-
-// BenchmarkFleetDayTraced is BenchmarkFleetDay with the per-query
-// tracer sampling 1 in 1024 queries into a counting sink: the CI gate
-// holds the sampled tracer's cost close to the untraced baseline — the
-// low-overhead claim the telemetry layer makes. Every query pays the
-// sampling test; only sampled ones pay event staging.
-func BenchmarkFleetDayTraced(b *testing.B) {
-	if _, err := experiments.FleetTable(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		day, events, err := experiments.FleetDayTraced(fleet.PowerOfTwo, "hercules", 1024, experiments.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("traced fleet day: %d queries, %d trace events, %.1f violation min\n",
-				day.TotalQueries, events, day.SLAViolationMin)
-		}
-		b.ReportMetric(float64(day.TotalQueries), "queries")
-		b.ReportMetric(float64(events), "trace_events")
-		b.ReportMetric(day.DropFrac*100, "drop_pct")
-	}
-}
-
-// BenchmarkFleetDayBatched is BenchmarkFleetDay with dynamic batching
-// enabled (MaxBatch 16, 2 ms formation wait): the engine derives
-// per-pair batch caps from the measured efficiency curves, so this
-// exercises batch formation, window-expiry flushes and full-batch
-// dispatches on the hot path. CI gates it against BENCH_fleet.json
-// alongside the unbatched baseline — the batcher must stay inside the
-// same allocation envelope.
-func BenchmarkFleetDayBatched(b *testing.B) {
-	if _, err := experiments.FleetTable(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		day, err := experiments.FleetDayBatched(fleet.PowerOfTwo, "hercules", 16, experiments.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("batched fleet day: %d queries, %.1f violation min, %.2f%% drops\n",
-				day.TotalQueries, day.SLAViolationMin, day.DropFrac*100)
-		}
-		b.ReportMetric(float64(day.TotalQueries), "queries")
-		b.ReportMetric(day.SLAViolationMin, "sla_violation_min")
-		b.ReportMetric(day.DropFrac*100, "drop_pct")
-	}
-}
-
-// BenchmarkFleetDayCarbon is BenchmarkFleetDay with the duck-curve
-// grid timeline attached and the carbon scaler + admission pair
-// selected: every interval prices its measured joules into gCO2 at the
-// hour's intensity, feeds the scaler its grid forecast and evaluates
-// the deferral ramp at admission. CI gates it against BENCH_fleet.json
-// alongside the other fleet benchmarks — carbon accounting must stay a
-// negligible overlay on the replay cost.
-func BenchmarkFleetDayCarbon(b *testing.B) {
-	if _, err := experiments.FleetTable(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		day, err := experiments.CarbonDay(experiments.Seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("carbon fleet day: %d queries, %.2f kg CO2, %.3f g/query, %.1f violation min\n",
-				day.TotalQueries, day.TotalCarbonG/1e3, day.CarbonPerQueryG, day.SLAViolationMin)
-		}
-		b.ReportMetric(float64(day.TotalQueries), "queries")
-		b.ReportMetric(day.TotalCarbonG/1e3, "co2_kg")
-		b.ReportMetric(day.SLAViolationMin, "sla_violation_min")
-	}
-}
-
-// BenchmarkFleetRegions replays the two-region blackout day under the
-// spill geo policy: two engines stepped in lockstep, the geo router
-// moving overflow at every interval boundary, east dark for three
-// mid-day hours while west absorbs the evacuated traffic at +60 ms
-// RTT. CI gates it against BENCH_fleet.json alongside the
-// single-region fleet benchmarks — the lockstep orchestration and
-// per-interval routing must stay a thin layer over the per-region
-// replay cost they compose.
-func BenchmarkFleetRegions(b *testing.B) {
-	table, err := experiments.FleetTable()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		me, err := fleet.NewMultiEngine(
-			experiments.RegionsSpec(fleet.GeoSpill, experiments.Seed), fleet.WithTable(table))
-		if err != nil {
-			b.Fatal(err)
-		}
-		day, err := me.RunDay(me.Workloads())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			fmt.Printf("regions fleet day: %d queries, %.2f%% drops, %d served remotely, %.1f violation min\n",
-				day.TotalQueries, day.DropFrac*100, day.SpillInServed, day.SLAViolationMin)
-		}
-		b.ReportMetric(float64(day.TotalQueries), "queries")
-		b.ReportMetric(float64(day.SpillInServed), "spill_served")
-		b.ReportMetric(day.DropFrac*100, "drop_pct")
 	}
 }
 

@@ -132,17 +132,6 @@ func batchSpike(factor float64) scenario.Scenario {
 	}
 }
 
-// FleetDayBatched replays one full diurnal day with dynamic batching
-// enabled (the BenchmarkFleetDayBatched subject): FleetDay's exact
-// configuration plus the engine's adaptive per-pair batchers capped at
-// maxBatch.
-func FleetDayBatched(router, policy string, maxBatch int, seed int64) (fleet.DayResult, error) {
-	spec := FleetSpec(router, policy, seed)
-	spec.Options.MaxBatch = maxBatch
-	spec.Options.BatchWaitS = batchWaitS
-	return runFleetSpec(spec, seed)
-}
-
 // BatchCapacityRow is one cell of the latency-bounded-throughput
 // sweep: a fixed pool of identical servers at one batch cap under one
 // router.

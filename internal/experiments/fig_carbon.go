@@ -64,13 +64,6 @@ func CarbonSpec(scaler, admission, curve, capScenario string, seed int64) fleet.
 	return spec
 }
 
-// CarbonDay replays one diurnal day under the duck-curve grid with the
-// carbon scaler + admission pair and no power cap — the
-// BenchmarkFleetDayCarbon subject.
-func CarbonDay(seed int64) (fleet.DayResult, error) {
-	return runFleetSpec(CarbonSpec("carbon", "carbon", "duck", "", seed), seed)
-}
-
 // CarbonRow is one cell of the sweep.
 type CarbonRow struct {
 	Scaler    string

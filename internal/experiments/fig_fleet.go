@@ -10,7 +10,6 @@ import (
 	"hercules/internal/hw"
 	"hercules/internal/model"
 	"hercules/internal/profiler"
-	"hercules/internal/telemetry"
 	"hercules/internal/workload"
 )
 
@@ -109,37 +108,9 @@ func runFleetSpec(spec fleet.Spec, seed int64) (fleet.DayResult, error) {
 }
 
 // FleetDay replays one full diurnal day for a single router ×
-// provisioning policy combination (the BenchmarkFleetDay subject).
+// provisioning policy combination.
 func FleetDay(router, policy string, seed int64) (fleet.DayResult, error) {
 	return runFleetSpec(FleetSpec(router, policy, seed), seed)
-}
-
-// FleetDayTraced is FleetDay with the per-query tracer sampling 1 in
-// sampleN queries into a counting sink (no I/O, so measured overhead
-// is tracing itself) — the BenchmarkFleetDayTraced subject, whose CI
-// gate bounds the sampled tracer's cost over the untraced replay. It
-// returns the day alongside the number of events emitted.
-func FleetDayTraced(router, policy string, sampleN int, seed int64) (fleet.DayResult, uint64, error) {
-	spec := FleetSpec(router, policy, seed)
-	spec.Options.TraceSample = sampleN
-	table, err := FleetTable()
-	if err != nil {
-		return fleet.DayResult{}, 0, err
-	}
-	eng, err := fleet.NewEngine(spec, fleet.WithTable(table))
-	if err != nil {
-		return fleet.DayResult{}, 0, err
-	}
-	sink := &telemetry.CountSink{}
-	eng.Tracer.AddSink(sink)
-	day, err := eng.RunDay(FleetWorkloads(table, seed))
-	if err != nil {
-		return fleet.DayResult{}, 0, err
-	}
-	if err := eng.Tracer.Close(); err != nil {
-		return fleet.DayResult{}, 0, err
-	}
-	return day, sink.Total, nil
 }
 
 // Fig13OnlineResult compares routers × provisioning policies on

@@ -123,9 +123,10 @@
 // so they run concurrently on up to GOMAXPROCS workers, and the worker
 // count cannot change a result — a replay is a pure function of its
 // spec. A task reads its stream in 1024-query chunks from a small ring;
-// a task offered more than its fair share of the load has them filled
-// by a producer goroutine, overlapping query generation with routing,
-// which likewise changes no result. CPU profiles label the replay's
+// when there is a second core, a task offered more than its fair share
+// of the load (always the lone task of a one-task interval) has them
+// filled by a producer goroutine, overlapping query generation with
+// routing, which likewise changes no result. CPU profiles label the replay's
 // stages stage=generate, route and merge.
 //
 // The replay loop is engineered to stay off the allocator and the
@@ -134,7 +135,7 @@
 // a dense grid shared process-wide (SharedSimService) and resolved to
 // a direct sampler per instance, and pool tasks plus merge buffers
 // are pooled across intervals. Route decisions and admissions are
-// zero-alloc (guarded by alloc_test.go); BENCH_fleet.json at the repo
-// root records the benchmarked baseline cmd/hercules-bench gates CI
-// against.
+// zero-alloc (guarded by alloc_test.go); fleetbench, a nested module at
+// the repo root, measures the replay, and CI gates its allocations and
+// throughput against the baseline in BENCH_fleet.json.
 package fleet

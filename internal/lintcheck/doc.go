@@ -3,7 +3,7 @@
 //
 // The repo's headline guarantee — a replay is byte-identical at any
 // worker count, record→replay round trips are exact, FigRegions and
-// the BENCH_fleet.json gate are trustworthy — is a determinism
+// the fleetbench output checks are trustworthy — is a determinism
 // contract. Until now it was enforced only dynamically, by golden
 // tests that catch a violation long after it is written. This package
 // encodes the contracts as analyzers that fail CI the moment a
@@ -11,10 +11,11 @@
 //
 //   - wallclock: no time.Now/Since/Until, no global math/rand draws
 //     and no runtime.NumCPU/GOMAXPROCS in replay-path packages (fleet,
-//     scenario, sim, telemetry, stats, workload, cluster, grid,
-//     perfbench); randomness must flow from an explicit seeded source
-//     or a query-identity hash, and no result may depend on the host's
-//     core count.
+//     scenario, sim, telemetry, stats, workload, cluster, grid);
+//     randomness must flow from an explicit seeded source or a
+//     query-identity hash, and no result may depend on the host's core
+//     count. The legal core-count reads, runInterval's worker count
+//     and the calibration semaphore, carry a //lint:allow.
 //   - maporder: no ranging over a map whose body appends to a slice,
 //     writes an exported result field, or emits output/telemetry,
 //     unless a deterministic sort follows in the same block.

@@ -22,10 +22,7 @@ var WallclockAnalyzer = &Analyzer{
 }
 
 // replayPackages are the packages whose code is (or feeds) the replay
-// hot path, named relative to the module root. internal/perfbench is
-// included because benchmark measurement shares the reproducibility
-// contract: its one legitimate wall-clock read (report provenance)
-// carries a //lint:allow.
+// hot path, named relative to the module root.
 var replayPackages = map[string]bool{
 	"internal/fleet":     true,
 	"internal/scenario":  true,
@@ -35,7 +32,6 @@ var replayPackages = map[string]bool{
 	"internal/workload":  true,
 	"internal/cluster":   true,
 	"internal/grid":      true,
-	"internal/perfbench": true,
 }
 
 // isReplayPath matches both the real module path (hercules/internal/…)
