@@ -59,6 +59,11 @@ def run(workload, trace):
         return None
 
 
+def value(report, workload, name, metric):
+    res = report.get("workloads", {}).get(workload, {}).get(name) or {}
+    return res.get("metrics", {}).get(metric, {}).get("value")
+
+
 def check(base, fresh):
     """Every regression of fresh against base, one line each."""
     problems = []
@@ -71,12 +76,9 @@ def check(base, fresh):
                 problems.append(f"{w} {name}: correct {res.get('correct')}, "
                                 f"{res.get('failed')} of {res.get('attempted')} replays failed")
         for metric, (name, kind, bound) in GATES.items():
-            old = base.get("workloads", {}).get(w, {}).get(name) or {}
-            new = fresh["workloads"][w][name] or {}
-            old = old.get("metrics", {}).get(metric, {}).get("value")
-            new = new.get("metrics", {}).get(metric, {}).get("value")
-            if old is None or new is None or old <= 0:
-                where = "baseline" if old is None or old <= 0 else "fresh run"
+            old, new = value(base, w, name, metric), value(fresh, w, name, metric)
+            if not old or new is None:
+                where = "fresh run" if old else "baseline"
                 problems.append(f"{w} {metric}: missing from the {where}")
                 continue
             ratio = new / old
