@@ -193,8 +193,11 @@ type modelObs struct {
 type replayScratch struct {
 	tasks    []*poolTask // grown on demand, reused each interval
 	pending  sync.WaitGroup
-	allBuf   []float64
 	breached []bool
+	// sel selects the exact tails straight from the tasks' window
+	// buffers; segs lists every task's windows, task by task.
+	sel  stats.Selector
+	segs [][]float64
 	// modelSk and allSk are the reused merge targets of the
 	// SketchTails path.
 	modelSk stats.Sketch
@@ -1592,9 +1595,8 @@ func (e *Engine) finishInterval() {
 // stats: per-model windowed tails drive breach verdicts, per-model
 // tails feed next interval's admission signal, and the aggregate
 // distribution drives the interval percentiles. The exact path selects
-// percentiles straight from the tasks' window buffers (gathered into
-// one flat buffer, a model's windows contiguous); the sketch path
-// merges window sketches bucket-wise.
+// percentiles straight from the tasks' window buffers, read in place
+// as segments; the sketch path merges window sketches bucket-wise.
 func (e *Engine) mergeTails(tasks []*poolTask) {
 	r := e.run
 	ist := &r.ist
@@ -1618,10 +1620,17 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 		breached[i] = false
 	}
 	useSketch := e.Opts.SketchTails
-	allBuf := scr.allBuf[:0]
 	if useSketch {
 		armSketch(&scr.allSk)
+	} else {
+		// One index serves every window, model and interval tail.
+		scr.segs = scr.segs[:0]
+		for _, t := range tasks {
+			scr.segs = append(scr.segs, t.winLatMS...)
+		}
+		scr.sel.Index(scr.segs)
 	}
+	seg := 0 // the current task's first window in scr.segs
 	for _, t := range tasks {
 		m := t.modelName
 		limit := t.model.SLATargetMS * slaFactor
@@ -1638,16 +1647,20 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 			ist.ModelP99MS[m] = scr.modelSk.Quantile(99)
 			scr.allSk.Merge(&scr.modelSk)
 		} else {
-			start := len(allBuf)
+			var tail [2]float64
 			for w, win := range t.winLatMS {
-				allBuf = append(allBuf, win...)
-				if t.winDrops[w] > 0 || (len(win) > 0 && stats.PercentileSelect(win, tailPct) > limit) {
+				if t.winDrops[w] > 0 {
 					breached[w] = true
+				} else if len(win) > 0 {
+					scr.sel.Query(seg+w, seg+w+1, []float64{tailPct}, tail[:1])
+					if tail[0] > limit {
+						breached[w] = true
+					}
 				}
 			}
-			var tail [2]float64
-			stats.PercentilesSelect(allBuf[start:], []float64{95, 99}, tail[:])
+			scr.sel.Query(seg, seg+len(t.winLatMS), []float64{95, 99}, tail[:])
 			ist.ModelP95MS[m], ist.ModelP99MS[m] = tail[0], tail[1]
+			seg += len(t.winLatMS)
 		}
 		queries := t.admitted
 		ist.Shed += t.shed
@@ -1672,9 +1685,8 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 		ist.P99MS = scr.allSk.Quantile(99)
 	} else {
 		var pct [3]float64
-		stats.PercentilesSelect(allBuf, []float64{50, 95, 99}, pct[:])
+		scr.sel.Query(0, len(scr.segs), []float64{50, 95, 99}, pct[:])
 		ist.P50MS, ist.P95MS, ist.P99MS = pct[0], pct[1], pct[2]
-		scr.allBuf = allBuf[:0]
 	}
 	if e.cacheActive {
 		if ist.Queries > 0 {

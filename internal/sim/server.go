@@ -409,10 +409,12 @@ func (r *run) finish(queries []workload.Query, wallS float64) Result {
 
 	// Latency sample, discarding the first 10% as warm-up.
 	warm := len(queries) / 10
-	lat := stats.NewSample(len(queries) - warm)
-	var qSum, lSum, cSum float64
+	lat := make([]float64, 0, len(queries)-warm)
+	var latSum, qSum, lSum, cSum float64
 	for qi := warm; qi < len(queries); qi++ {
-		lat.Add((r.done[qi] - queries[qi].ArrivalS) * 1e3)
+		l := (r.done[qi] - queries[qi].ArrivalS) * 1e3
+		lat = append(lat, l)
+		latSum += l
 		if r.queueS != nil {
 			qSum += r.queueS[qi]
 			lSum += r.loadS[qi]
@@ -420,23 +422,28 @@ func (r *run) finish(queries []workload.Query, wallS float64) Result {
 		}
 	}
 	n := float64(len(queries) - warm)
+	// One selection reads every tail point; no sort.
+	var pct [4]float64
+	stats.PercentilesSelect(lat, []float64{50, 95, 99, r.s.TailPercentile}, pct[:])
 
 	res := Result{
 		OfferedQPS:   float64(len(queries)) / wallS,
 		CompletedQPS: float64(len(queries)) / wall,
-		MeanMS:       lat.Mean(),
-		P50MS:        lat.P50(),
-		P95MS:        lat.P95(),
-		P99MS:        lat.P99(),
-		TailMS:       lat.Percentile(r.s.TailPercentile),
+		P50MS:        pct[0],
+		P95MS:        pct[1],
+		P99MS:        pct[2],
+		TailMS:       pct[3],
 		CPUUtil:      r.act.CPUUtilization(r.s.HW.CPU),
 		GPUUtil:      r.act.GPUUtilization(),
 		Queries:      len(queries),
 	}
-	if r.queueS != nil && n > 0 {
-		res.QueueMS = qSum / n * 1e3
-		res.LoadMS = lSum / n * 1e3
-		res.ComputeMS = cSum / n * 1e3
+	if n > 0 {
+		res.MeanMS = latSum / n
+		if r.queueS != nil {
+			res.QueueMS = qSum / n * 1e3
+			res.LoadMS = lSum / n * 1e3
+			res.ComputeMS = cSum / n * 1e3
+		}
 	}
 	res.AvgPowerW = r.s.Power.Average(r.s.HW, r.act)
 	res.ProvisionedW = r.s.Power.Provisioned(r.s.HW, r.act)

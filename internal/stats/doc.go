@@ -6,13 +6,19 @@
 // NewRand so that every experiment is reproducible given its seed.
 //
 // The surface: Sample collects values and answers percentile queries
-// (the tail-latency plumbing of every layer); PercentileSorted and
-// PercentileSelect serve hot loops that manage their own buffers — the
-// latter via in-place quickselect, O(n) for a few percentile points,
-// with PercentilesSelect chaining ascending points through one buffer;
-// Histogram and Welford
-// cover binned distributions and running moments; NewZipf/ZipfMass back
-// the hot-embedding skew of internal/partition; Lognormal, Poisson and
+// (the tail-latency plumbing of every layer); PercentileSorted reads a
+// sorted buffer. Selector is the exact selection kernel for hot loops
+// that read a few percentile points: an MSD radix select over
+// order-preserving keys of the float64 bits, O(n) and allocation-free
+// once warmed. It reads one buffer or many segments in place, returns
+// what PercentileSorted would on a sorted copy, bit for bit, and needs
+// NaN-free input; Index/Query answer several unions of the same
+// segments from one counting pass (the replay's window, model and
+// interval tails). PercentileSelect and PercentilesSelect are its
+// one-buffer forms over a pooled Selector, and Sketch is the
+// bounded-error streaming alternative. Histogram and Welford cover
+// binned distributions and running moments; NewZipf/ZipfMass back the
+// hot-embedding skew of internal/partition; Lognormal, Poisson and
 // Exponential are the seeded draws the workload generators use; Clamp
 // and ClampInt are shared bounds helpers.
 package stats
