@@ -21,7 +21,7 @@
 //	               [-batch 1] [-batch-wait 2]
 //	               [-seed 42] [-ndjson] [-summary] [-pretty]
 //	               [-trace-out trace.ndjson] [-trace-chrome trace.json]
-//	               [-trace-sample 1024] [-sketch-tails]
+//	               [-trace-sample 1024]
 //	               [-metrics-out metrics.json] [-pprof localhost:6060]
 //	               [-cpuprofile cpu.prof]
 //
@@ -185,7 +185,6 @@ type cliFlags struct {
 	traceOut    *string
 	traceChrome *string
 	traceSample *int
-	sketchTails *bool
 	metricsOut  *string
 	pprofAddr   *string
 	cpuProfile  *string
@@ -247,8 +246,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		traceChrome: fs.String("trace-chrome", "", "write sampled per-query trace as Chrome trace-event JSON (Perfetto)"),
 		traceSample: fs.Int("trace-sample", def.Options.TraceSample,
 			"trace 1 in N queries (0 = off; defaults to 1024 when a trace output is set)"),
-		sketchTails: fs.Bool("sketch-tails", def.Options.SketchTails,
-			"compute tail percentiles from mergeable quantile sketches (1% relative error) instead of exact buffers"),
 		metricsOut: fs.String("metrics-out", "", "write a JSON snapshot of the telemetry metrics registry (- = stdout)"),
 		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
 		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile of the run, calibration included, to this file"),
@@ -297,7 +294,6 @@ func buildSpec(cf *cliFlags, fs *flag.FlagSet) (fleet.Spec, error) {
 		"batch-wait":    func(s *fleet.Spec) { s.Options.BatchWaitS = *cf.batchWait / 1e3 },
 		"seed":          func(s *fleet.Spec) { s.Options.Seed = *cf.seed },
 		"trace-sample":  func(s *fleet.Spec) { s.Options.TraceSample = *cf.traceSample },
-		"sketch-tails":  func(s *fleet.Spec) { s.Options.SketchTails = *cf.sketchTails },
 	}
 	// -grid resolves through grid.Parse (preset name, @file, or inline
 	// JSON) and so lives outside the overlays table: parsing can fail.

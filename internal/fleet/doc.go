@@ -104,9 +104,9 @@
 // DayResult is unchanged traced or untraced. A built-in router's one
 // decision body is TracedRouter.PickTraced; Pick passes it no event.
 // NewMetricsObserver folds the Observer stream into a
-// telemetry.Registry of counters, gauges and sketch-backed histograms,
-// and Options.SketchTails swaps the exact per-window latency buffers
-// for mergeable quantile sketches (stats.Sketch) when days get long.
+// telemetry.Registry of counters, gauges and sketch-backed histograms;
+// the replay's own tails are always exact, selected from the
+// per-window latency buffers by stats.Selector.
 //
 // Per-query service times come from the existing internal/sim cost
 // model via SimService; nothing here re-implements server timing. Each

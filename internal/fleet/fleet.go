@@ -61,13 +61,6 @@ type Options struct {
 	// event stream. NewEngine materializes the
 	// tracer as Engine.Tracer; attach export sinks there.
 	TraceSample int `json:"trace_sample,omitempty"`
-	// SketchTails replaces the exact per-window latency buffers with
-	// mergeable quantile sketches (stats.Sketch, 1% relative error):
-	// constant memory per window regardless of sample count, at the
-	// cost of tail values that differ from the exact percentiles by up
-	// to the sketch's error bound. Off by default — the golden replays
-	// pin the exact path bit for bit.
-	SketchTails bool `json:"sketch_tails,omitempty"`
 	// Seed drives all replay randomness.
 	Seed int64 `json:"seed"`
 }
@@ -198,10 +191,6 @@ type replayScratch struct {
 	// buffers; segs lists every task's windows, task by task.
 	sel  stats.Selector
 	segs [][]float64
-	// modelSk and allSk are the reused merge targets of the
-	// SketchTails path.
-	modelSk stats.Sketch
-	allSk   stats.Sketch
 }
 
 // ApplyScenario compiles the scenario against the workloads' aligned
@@ -978,14 +967,8 @@ type poolTask struct {
 	door    telemetry.ShardBuf
 	traceOn bool
 
-	// useSketch selects the sketch-based tail path: latencies stream
-	// into per-window quantile sketches instead of the exact sample
-	// buffers.
-	useSketch bool
-
 	// outputs
-	winLatMS [][]float64    // per-window latency samples (ms)
-	winSk    []stats.Sketch // per-window sketches (ms), when useSketch
+	winLatMS [][]float64 // per-window latency samples (ms)
 	winDrops []int
 	admitted int // queries past the door
 	dropped  int
@@ -995,7 +978,7 @@ type poolTask struct {
 // reset re-arms a pooled task for an interval with the given window
 // count, reusing every backing array. Tracing is re-armed separately
 // (the engine arms trace/door/traceOn per model).
-func (w *poolTask) reset(windows int, useSketch bool) {
+func (w *poolTask) reset(windows int) {
 	w.rec = nil
 	w.admitted = 0
 	w.dropped = 0
@@ -1006,22 +989,12 @@ func (w *poolTask) reset(windows int, useSketch bool) {
 	w.remoteServed, w.remoteDropped = 0, 0
 	w.windows = windows
 	w.traceOn = false
-	w.useSketch = useSketch
 	for cap(w.winLatMS) < windows {
 		w.winLatMS = append(w.winLatMS[:cap(w.winLatMS)], nil)
 	}
 	w.winLatMS = w.winLatMS[:windows]
 	for i := range w.winLatMS {
 		w.winLatMS[i] = w.winLatMS[i][:0]
-	}
-	if useSketch {
-		for cap(w.winSk) < windows {
-			w.winSk = append(w.winSk[:cap(w.winSk)], stats.Sketch{})
-		}
-		w.winSk = w.winSk[:windows]
-		for i := range w.winSk {
-			armSketch(&w.winSk[i])
-		}
 	}
 	if cap(w.winDrops) < windows {
 		w.winDrops = make([]int, windows)
@@ -1032,24 +1005,10 @@ func (w *poolTask) reset(windows int, useSketch bool) {
 	}
 }
 
-// armSketch readies a pooled value sketch: first use initializes it at
-// the engine's tail accuracy, reuse just clears the observations.
-func armSketch(s *stats.Sketch) {
-	if s.Alpha == 0 {
-		s.Init(stats.DefaultSketchAlpha)
-	} else {
-		s.Reset()
-	}
-}
-
 // observe records one served query's latency into its observation
-// window — the exact sample buffer, or the window's quantile sketch —
-// in milliseconds, the unit every tail threshold uses.
+// window's sample buffer, in milliseconds, the unit every tail
+// threshold uses.
 func (w *poolTask) observe(wi int, latS float64) {
-	if w.useSketch {
-		w.winSk[wi].Add(latS * 1e3)
-		return
-	}
 	w.winLatMS[wi] = append(w.winLatMS[wi], latS*1e3)
 }
 
@@ -1403,7 +1362,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 	cacheLatS := e.Cache.latencyS()
 	for mi, m := range names {
 		t := tasks[mi]
-		t.reset(windows, e.Opts.SketchTails)
+		t.reset(windows)
 		if t.ring == nil {
 			t.ring = make([]workload.Query, ringSlots*chunkLen)
 		}
@@ -1594,9 +1553,9 @@ func (e *Engine) finishInterval() {
 // mergeTails folds the tasks' latency windows into the interval's
 // stats: per-model windowed tails drive breach verdicts, per-model
 // tails feed next interval's admission signal, and the aggregate
-// distribution drives the interval percentiles. The exact path selects
-// percentiles straight from the tasks' window buffers, read in place
-// as segments; the sketch path merges window sketches bucket-wise.
+// distribution drives the interval percentiles. Every percentile is
+// selected exactly, straight from the tasks' window buffers, read in
+// place as segments.
 func (e *Engine) mergeTails(tasks []*poolTask) {
 	r := e.run
 	ist := &r.ist
@@ -1619,49 +1578,30 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 	for i := range breached {
 		breached[i] = false
 	}
-	useSketch := e.Opts.SketchTails
-	if useSketch {
-		armSketch(&scr.allSk)
-	} else {
-		// One index serves every window, model and interval tail.
-		scr.segs = scr.segs[:0]
-		for _, t := range tasks {
-			scr.segs = append(scr.segs, t.winLatMS...)
-		}
-		scr.sel.Index(scr.segs)
+	// One index serves every window, model and interval tail.
+	scr.segs = scr.segs[:0]
+	for _, t := range tasks {
+		scr.segs = append(scr.segs, t.winLatMS...)
 	}
+	scr.sel.Index(scr.segs)
 	seg := 0 // the current task's first window in scr.segs
 	for _, t := range tasks {
 		m := t.modelName
 		limit := t.model.SLATargetMS * slaFactor
-		if useSketch {
-			armSketch(&scr.modelSk)
-			for w := range t.winSk {
-				sk := &t.winSk[w]
-				if t.winDrops[w] > 0 || (sk.Count() > 0 && sk.Quantile(tailPct) > limit) {
+		var tail [2]float64
+		for w, win := range t.winLatMS {
+			if t.winDrops[w] > 0 {
+				breached[w] = true
+			} else if len(win) > 0 {
+				scr.sel.Query(seg+w, seg+w+1, []float64{tailPct}, tail[:1])
+				if tail[0] > limit {
 					breached[w] = true
 				}
-				scr.modelSk.Merge(sk)
 			}
-			ist.ModelP95MS[m] = scr.modelSk.Quantile(95)
-			ist.ModelP99MS[m] = scr.modelSk.Quantile(99)
-			scr.allSk.Merge(&scr.modelSk)
-		} else {
-			var tail [2]float64
-			for w, win := range t.winLatMS {
-				if t.winDrops[w] > 0 {
-					breached[w] = true
-				} else if len(win) > 0 {
-					scr.sel.Query(seg+w, seg+w+1, []float64{tailPct}, tail[:1])
-					if tail[0] > limit {
-						breached[w] = true
-					}
-				}
-			}
-			scr.sel.Query(seg, seg+len(t.winLatMS), []float64{95, 99}, tail[:])
-			ist.ModelP95MS[m], ist.ModelP99MS[m] = tail[0], tail[1]
-			seg += len(t.winLatMS)
 		}
+		scr.sel.Query(seg, seg+len(t.winLatMS), []float64{95, 99}, tail[:])
+		ist.ModelP95MS[m], ist.ModelP99MS[m] = tail[0], tail[1]
+		seg += len(t.winLatMS)
 		queries := t.admitted
 		ist.Shed += t.shed
 		ist.Queries += queries
@@ -1679,15 +1619,9 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 		}
 		e.prevObs[m] = obs
 	}
-	if useSketch {
-		ist.P50MS = scr.allSk.Quantile(50)
-		ist.P95MS = scr.allSk.Quantile(95)
-		ist.P99MS = scr.allSk.Quantile(99)
-	} else {
-		var pct [3]float64
-		scr.sel.Query(0, len(scr.segs), []float64{50, 95, 99}, pct[:])
-		ist.P50MS, ist.P95MS, ist.P99MS = pct[0], pct[1], pct[2]
-	}
+	var pct [3]float64
+	scr.sel.Query(0, len(scr.segs), []float64{50, 95, 99}, pct[:])
+	ist.P50MS, ist.P95MS, ist.P99MS = pct[0], pct[1], pct[2]
 	if e.cacheActive {
 		if ist.Queries > 0 {
 			ist.CacheHitRate = float64(ist.CacheHits) / float64(ist.Queries)
@@ -1769,7 +1703,7 @@ func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query,
 	// resets with an unclipped busy horizon.
 	t := &poolTask{insts: insts, fromTrace: true, newRouter: newRouter, seed: seed,
 		windowW: math.Inf(1), maxBatch: 1}
-	t.reset(1, false)
+	t.reset(1)
 	t.rec = queries
 	t.run()
 	lat := t.winLatMS[0]

@@ -60,7 +60,7 @@ func streamTask(n int, recorded bool, shedFrac float64, shedSeed int64) *poolTas
 		shedFrac: shedFrac, shedSeed: shedSeed,
 		sliceS: horizonFor(m, qps, genSeed, n),
 		ring:   make([]workload.Query, ringSlots*chunkLen)}
-	w.reset(1, false)
+	w.reset(1)
 	if recorded {
 		w.fromTrace = true
 		w.rec = workload.NewGenerator(m, qps, genSeed).Until(w.sliceS)

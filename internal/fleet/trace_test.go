@@ -200,51 +200,6 @@ func TestTracedRoutersMatchUntraced(t *testing.T) {
 	}
 }
 
-// TestSketchTailsDeterministicAndClose: the sketch-based tail path
-// must be deterministic run to run, and its percentiles must track the
-// exact path within the sketch's relative-error bound.
-func TestSketchTailsDeterministicAndClose(t *testing.T) {
-	run := func(sketch bool) DayResult {
-		opts := testOpts()
-		opts.SketchTails = sketch
-		res, err := testEngine(PowerOfTwo, opts).RunDay(goldenWorkloads())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(true)
-	if !reflect.DeepEqual(seq, run(true)) {
-		t.Fatal("two sketch-tails replays diverged")
-	}
-	exact := run(false)
-	if len(seq.Steps) != len(exact.Steps) {
-		t.Fatal("step count diverged")
-	}
-	// DefaultSketchAlpha is 1% relative error; allow 3% to absorb the
-	// rank interpolation difference between PercentileSelect and the
-	// sketch's bucket midpoint.
-	const tol = 0.03
-	for i := range seq.Steps {
-		for _, pair := range [][2]float64{
-			{seq.Steps[i].P95MS, exact.Steps[i].P95MS},
-			{seq.Steps[i].P99MS, exact.Steps[i].P99MS},
-		} {
-			got, want := pair[0], pair[1]
-			if want == 0 {
-				continue
-			}
-			if diff := (got - want) / want; diff > tol || diff < -tol {
-				t.Errorf("interval %d: sketch tail %.4f vs exact %.4f (%.2f%% off)",
-					i, got, want, diff*100)
-			}
-		}
-	}
-	if seq.TotalQueries != exact.TotalQueries || seq.TotalDrops != exact.TotalDrops {
-		t.Error("sketch path changed query accounting")
-	}
-}
-
 // TestTracedDropInstance: a drop event names the instance whose queue
 // rejected the query, or -1 when the pool was empty.
 func TestTracedDropInstance(t *testing.T) {
@@ -265,7 +220,7 @@ func TestTracedDropInstance(t *testing.T) {
 	} {
 		w := &poolTask{insts: tc.insts, fromTrace: true, windowW: math.Inf(1), maxBatch: 2,
 			newRouter: func() Router { return &roundRobin{} }}
-		w.reset(1, false)
+		w.reset(1)
 		for i := 0; i < 3; i++ {
 			w.rec = append(w.rec, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
 		}

@@ -130,11 +130,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestRegionsWorkerCountInvariance: three lockstep regions with a
-// blackout and geo spill, sketch tails, traced 1/1 into one sink that
+// blackout and geo spill, exact tails, traced 1/1 into one sink that
 // every region's tracer shares — all regions' pools run in one batch.
 func TestRegionsWorkerCountInvariance(t *testing.T) {
 	opts := testOpts()
-	opts.SketchTails = true
 	opts.TraceSample = 1
 	spec := Spec{
 		Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1", "DLRM-RMC2"},

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 
+	"hercules/internal/stats"
 	"hercules/internal/workload"
 )
 
@@ -41,11 +42,11 @@ func evalWindow(rate float64) float64 {
 // Evaluate runs one simulation at the given offered QPS and reports the
 // result (seeded deterministically).
 func (s *Server) Evaluate(cfg Config, rateQPS float64, seed int64) (Result, error) {
-	return s.evaluate(cfg, rateQPS, seed, make(costMemo))
+	return s.evaluate(cfg, rateQPS, seed, &evalScratch{memo: make(costMemo)})
 }
 
-// evaluate is Evaluate pricing CPU batches from memo.
-func (s *Server) evaluate(cfg Config, rateQPS float64, seed int64, memo costMemo) (Result, error) {
+// evaluate is Evaluate simulating with sc.
+func (s *Server) evaluate(cfg Config, rateQPS float64, seed int64, sc *evalScratch) (Result, error) {
 	window := evalWindow(rateQPS)
 	gen := workload.NewGenerator(s.Model, rateQPS, seed)
 	// Poisson arrivals: the mean plus four standard deviations holds
@@ -55,7 +56,7 @@ func (s *Server) evaluate(cfg Config, rateQPS float64, seed int64, memo costMemo
 	if len(queries) == 0 {
 		return Result{}, nil
 	}
-	return s.simulate(cfg, queries, window, memo)
+	return s.simulate(cfg, queries, window, sc)
 }
 
 // FindCapacity measures the latency-bounded throughput of the
@@ -74,10 +75,10 @@ func (s *Server) FindCapacityHint(cfg Config, slaMS float64, seed int64, hintQPS
 		return Capacity{}, err
 	}
 	// Every evaluation of the search simulates the same Config, so they
-	// share one cost memo.
-	memo := make(costMemo)
+	// share one cost memo, Selector and latency buffer.
+	sc := &evalScratch{memo: make(costMemo), sel: new(stats.Selector)}
 	feasible := func(rate float64) (bool, Result) {
-		res, err := s.evaluate(cfg, rate, seed, memo)
+		res, err := s.evaluate(cfg, rate, seed, sc)
 		if err != nil || res.Queries == 0 {
 			return false, res
 		}

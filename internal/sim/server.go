@@ -66,7 +66,7 @@ type Result struct {
 // returns measured metrics. wallS is the nominal window length (the
 // arrival span); utilization uses the true makespan when overloaded.
 func (s *Server) Simulate(cfg Config, queries []workload.Query, wallS float64) (Result, error) {
-	return s.simulate(cfg, queries, wallS, make(costMemo))
+	return s.simulate(cfg, queries, wallS, &evalScratch{memo: make(costMemo)})
 }
 
 // costMemo caches CPU batch costs keyed on (items, co-active threads,
@@ -76,15 +76,29 @@ func (s *Server) Simulate(cfg Config, queries []workload.Query, wallS float64) (
 // dropped when they end (see the package doc).
 type costMemo map[int64]costmodel.CPUBatchCost
 
-// simulate is Simulate pricing CPU batches from memo.
-func (s *Server) simulate(cfg Config, queries []workload.Query, wallS float64, memo costMemo) (Result, error) {
+// evalScratch is what one Config's simulations share, owned by one
+// goroutine: the cost memo and the buffer each simulation gathers its
+// latency sample into. A FindCapacity search (about twenty
+// evaluations) also owns the Selector that reads the tails, so its
+// buffers stay warm across the search instead of coming from stats'
+// pool, which every GC empties. A one-off Simulate or Evaluate leaves
+// sel nil and borrows a pooled Selector rather than allocate an 8 KB
+// one for a single selection.
+type evalScratch struct {
+	memo costMemo
+	sel  *stats.Selector
+	lat  []float64
+}
+
+// simulate is Simulate pricing CPU batches from sc's memo.
+func (s *Server) simulate(cfg Config, queries []workload.Query, wallS float64, sc *evalScratch) (Result, error) {
 	if err := cfg.Validate(s.HW); err != nil {
 		return Result{}, err
 	}
 	if len(queries) == 0 {
 		return Result{}, fmt.Errorf("sim: empty query stream")
 	}
-	run := newRun(s, cfg, memo)
+	run := newRun(s, cfg, sc)
 	switch cfg.Place {
 	case PlaceCPUModel:
 		run.cpuModelBased(queries)
@@ -117,11 +131,11 @@ type run struct {
 	// Activity accounting.
 	act power.Activity
 
-	cpuMemo costMemo
+	sc *evalScratch
 }
 
-func newRun(s *Server, cfg Config, memo costMemo) *run {
-	r := &run{s: s, cfg: cfg, cpuMemo: memo}
+func newRun(s *Server, cfg Config, sc *evalScratch) *run {
+	r := &run{s: s, cfg: cfg, sc: sc}
 	if cfg.Place.OnAccel() {
 		budget := s.HW.GPU.MemoryBytes / int64(max(cfg.AccelThreads, 1))
 		r.plan = partition.BuildPlan(s.Model, budget)
@@ -152,7 +166,7 @@ func (r *run) cpuCost(phase, items int, scale float64, coThreads, workers int) c
 	// (items, scale bucket, phase) in the memo key.
 	sb := scaleBucket(scale)
 	key := int64(items)<<24 | int64(coThreads)<<16 | int64(sb)<<8 | int64(phase)
-	if c, ok := r.cpuMemo[key]; ok {
+	if c, ok := r.sc.memo[key]; ok {
 		return c
 	}
 	var ids []int
@@ -166,7 +180,7 @@ func (r *run) cpuCost(phase, items int, scale float64, coThreads, workers int) c
 	}
 	c := costmodel.CPUBatch(r.s.Params, r.s.HW, r.s.Graph, ids, items,
 		bucketScale(sb), coThreads, workers, r.cfg.UseNMP, r.s.LUT)
-	r.cpuMemo[key] = c
+	r.sc.memo[key] = c
 	return c
 }
 
@@ -409,7 +423,7 @@ func (r *run) finish(queries []workload.Query, wallS float64) Result {
 
 	// Latency sample, discarding the first 10% as warm-up.
 	warm := len(queries) / 10
-	lat := make([]float64, 0, len(queries)-warm)
+	lat := slices.Grow(r.sc.lat[:0], len(queries)-warm)
 	var latSum, qSum, lSum, cSum float64
 	for qi := warm; qi < len(queries); qi++ {
 		l := (r.done[qi] - queries[qi].ArrivalS) * 1e3
@@ -421,10 +435,16 @@ func (r *run) finish(queries []workload.Query, wallS float64) Result {
 			cSum += r.computS[qi]
 		}
 	}
+	r.sc.lat = lat
 	n := float64(len(queries) - warm)
 	// One selection reads every tail point; no sort.
 	var pct [4]float64
-	stats.PercentilesSelect(lat, []float64{50, 95, 99, r.s.TailPercentile}, pct[:])
+	ps := []float64{50, 95, 99, r.s.TailPercentile}
+	if r.sc.sel != nil {
+		r.sc.sel.Percentiles([][]float64{lat}, ps, pct[:])
+	} else {
+		stats.PercentilesSelect(lat, ps, pct[:])
+	}
 
 	res := Result{
 		OfferedQPS:   float64(len(queries)) / wallS,

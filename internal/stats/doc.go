@@ -16,7 +16,8 @@
 // segments from one counting pass (the replay's window, model and
 // interval tails). PercentileSelect and PercentilesSelect are its
 // one-buffer forms over a pooled Selector, and Sketch is the
-// bounded-error streaming alternative. Histogram and Welford cover
+// bounded-error mergeable quantile sketch behind the telemetry
+// histograms. Histogram and Welford cover
 // binned distributions and running moments; NewZipf/ZipfMass back the
 // hot-embedding skew of internal/partition; Lognormal, Poisson and
 // Exponential are the seeded draws the workload generators use; Clamp

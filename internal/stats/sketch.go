@@ -41,8 +41,8 @@ type Sketch struct {
 // latencies in any unit this repo uses (seconds or milliseconds).
 const sketchMinValue = 1e-9
 
-// DefaultSketchAlpha is the relative accuracy the fleet engine's tail
-// sketches use: 1% error on any quantile, ~600 buckets across the full
+// DefaultSketchAlpha is the relative accuracy the telemetry histograms
+// use: 1% error on any quantile, ~600 buckets across the full
 // nanosecond-to-kilosecond latency range.
 const DefaultSketchAlpha = 0.01
 
@@ -56,9 +56,8 @@ func NewSketch(alpha float64) *Sketch {
 }
 
 // Init (re)initializes a sketch in place with the given accuracy,
-// releasing any buckets. It exists so pools of sketches (one per
-// observation window per replay task in the fleet replay) can be
-// embedded by value and armed without allocation churn.
+// releasing any buckets. It exists so sketches embedded by value (the
+// telemetry histograms) can be armed without allocation churn.
 func (s *Sketch) Init(alpha float64) {
 	if alpha <= 0 || alpha >= 1 {
 		alpha = DefaultSketchAlpha
