@@ -130,13 +130,6 @@ func (a *Autoscaler) IntervalEnd() (early bool, extraR float64) {
 	return false, 0
 }
 
-// Boosted reports whether boost headroom remains in force beyond the
-// interval whose IntervalEnd most recently ran. The per-interval
-// boosted flag in DayResult comes from IntervalEnd's extraR return —
-// the headroom actually applied to the interval's re-provision — not
-// from this lookahead.
-func (a *Autoscaler) Boosted() bool { return a != nil && a.boostLeft > 0 }
-
 // ProportionalScaler is the target-utilization scaler (registered as
 // "prop"): instead of waiting for tails to breach, it holds the
 // fleet's mean service-channel utilization near TargetUtil by scaling

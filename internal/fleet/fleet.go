@@ -563,9 +563,8 @@ func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 		Reprovisioned:    reprovision,
 		EarlyReprovision: reprovision && r.earlyPending && !scheduled,
 		// extraR still holds the previous IntervalEnd's return — the
-		// boost headroom in force for exactly this interval. (Consulting
-		// Scaler.Boosted() here would read boostLeft one step ahead of
-		// the interval being reported.)
+		// boost headroom in force for exactly this interval. The
+		// Autoscaler's boostLeft already looks one interval ahead.
 		Boosted:             r.extraR > 0,
 		ActiveServers:       r.active.ActiveServers,
 		DeadServers:         dead,

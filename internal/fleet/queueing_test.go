@@ -31,6 +31,13 @@ func mmcnTheory(c, k int, rho float64) (block, sojourn float64) {
 	return p[n], l / (a * (1 - p[n]))
 }
 
+// mg1Sojourn is the Pollaczek–Khinchine mean sojourn of an M/G/1
+// queue with arrival rate λ and service moments E[S], E[S²]:
+// E[S] + λE[S²]/(2(1−ρ)) with ρ = λE[S].
+func mg1Sojourn(lambda, es, es2 float64) float64 {
+	return es + lambda*es2/(2*(1-lambda*es))
+}
+
 // batchHalfWidth is the batch-means confidence half-width z·s/√B of
 // the per-batch estimates xs.
 func batchHalfWidth(xs []float64, z float64) float64 {
@@ -51,7 +58,10 @@ func batchHalfWidth(xs []float64, z float64) float64 {
 // whose service times are seeded exponentials (rate 1), fed seeded
 // Poisson arrivals at rate cρ through ReplaySlice. The replay's drop
 // fraction must match the M/M/c/(c+K) blocking probability, and the
-// mean of its LatS the mean sojourn L/λ_eff.
+// mean of its LatS the mean sojourn L/λ_eff. One M/G/1 cell instead
+// draws lognormal service (mean 1, σ = 1) into a queue deep enough
+// that the replay drops nothing, and its mean LatS must match the
+// Pollaczek–Khinchine sojourn.
 //
 // Each bound is a batch-means confidence interval: the arrivals split
 // into B consecutive batches, and the estimate may sit at most z
@@ -69,9 +79,16 @@ func TestQueueingOracleMMcK(t *testing.T) {
 	cells := []struct {
 		c, k int
 		rho  float64
-	}{{1, 0, 0.5}, {1, 4, 0.8}, {4, 4, 0.9}, {8, 16, 0.95}, {2, 2, 1.3}}
+		// sigma > 0 draws lognormal service with mean 1 and this σ
+		// (an M/G/1 cell); 0 draws exponential service.
+		sigma float64
+	}{{1, 0, 0.5, 0}, {1, 4, 0.8, 0}, {4, 4, 0.9, 0}, {8, 16, 0.95, 0}, {2, 2, 1.3, 0}, {1, 1 << 12, 0.7, 1}}
 	for ci, cell := range cells {
-		t.Run(fmt.Sprintf("c%d_K%d_rho%g", cell.c, cell.k, cell.rho), func(t *testing.T) {
+		name := fmt.Sprintf("c%d_K%d_rho%g", cell.c, cell.k, cell.rho)
+		if cell.sigma > 0 {
+			name += fmt.Sprintf("_lognormal%g", cell.sigma)
+		}
+		t.Run(name, func(t *testing.T) {
 			lambda := float64(cell.c) * cell.rho
 			arr := stats.NewRand(int64(101 + ci))
 			queries := make([]workload.Query, arrivals)
@@ -84,8 +101,13 @@ func TestQueueingOracleMMcK(t *testing.T) {
 			}
 			svcRng := stats.NewRand(int64(201 + ci))
 			admitted := make([]int, 0, arrivals)
+			// exp(μ + σN) with μ = −σ²/2 has mean 1 and E[S²] = exp(σ²).
+			mu := -cell.sigma * cell.sigma / 2
 			svc := func(size int, _ float64) float64 {
 				admitted = append(admitted, size)
+				if cell.sigma > 0 {
+					return math.Exp(mu + cell.sigma*svcRng.NormFloat64())
+				}
 				return svcRng.ExpFloat64()
 			}
 			insts := []*Instance{NewInstance(0, "T", "M", float64(cell.c), cell.c, cell.k, svc)}
@@ -116,6 +138,12 @@ func TestQueueingOracleMMcK(t *testing.T) {
 			}
 
 			block, sojourn := mmcnTheory(cell.c, cell.k, cell.rho)
+			if cell.sigma > 0 {
+				if res.Dropped != 0 {
+					t.Fatalf("M/G/1 cell dropped %d queries; K = %d should hold every arrival", res.Dropped, cell.k)
+				}
+				block, sojourn = 0, mg1Sojourn(lambda, 1, math.Exp(cell.sigma*cell.sigma))
+			}
 			drop := float64(res.Dropped) / arrivals
 			var sum float64
 			for _, l := range res.LatS {

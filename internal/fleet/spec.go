@@ -230,16 +230,13 @@ func (s Spec) withDefaults() Spec {
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	fleet        *hw.Fleet
-	table        *profiler.Table
-	service      ServiceSource
-	scaler       Scaler
-	scalerSet    bool
-	admission    Admission
-	admissionSet bool
-	observers    []Observer
-	tracer       *telemetry.Tracer
-	traceSrc     *TraceSource
+	fleet     *hw.Fleet
+	table     *profiler.Table
+	service   ServiceSource
+	scaler    Scaler
+	scalerSet bool
+	observers []Observer
+	traceSrc  *TraceSource
 }
 
 // WithFleet overrides the spec's named fleet with an explicit one —
@@ -263,12 +260,6 @@ func WithScaler(s Scaler) Option {
 	return func(c *engineConfig) { c.scaler, c.scalerSet = s, true }
 }
 
-// WithAdmission overrides the spec's named admission policy with a
-// constructed one; WithAdmission(nil) admits everything.
-func WithAdmission(a Admission) Option {
-	return func(c *engineConfig) { c.admission, c.admissionSet = a, true }
-}
-
 // WithObserver registers a per-interval stats sink (Observer) on the
 // engine; repeat for several sinks.
 func WithObserver(o Observer) Option {
@@ -280,15 +271,6 @@ func WithObserver(o Observer) Option {
 // trace themselves (tests, in-memory record→replay round trips).
 func WithTraceSource(ts *TraceSource) Option {
 	return func(c *engineConfig) { c.traceSrc = ts }
-}
-
-// WithTracer installs a pre-configured per-query tracer (its SampleN
-// takes precedence over Spec.Options.TraceSample); without it,
-// NewEngine creates a sink-less tracer whenever Options.TraceSample
-// > 0 — callers attach export sinks via Engine.Tracer.AddSink before
-// RunDay and Close it after the run.
-func WithTracer(t *telemetry.Tracer) Option {
-	return func(c *engineConfig) { c.tracer = t }
 }
 
 // NewEngine assembles a replay engine from a serializable Spec plus
@@ -371,9 +353,6 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	admission, err := specAdmission(spec.Admission)
-	if cfg.admissionSet {
-		admission, err = cfg.admission, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -415,9 +394,7 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		Grid:        spec.Grid,
 		Opts:        spec.Options,
 	}
-	if cfg.tracer != nil {
-		eng.Tracer = cfg.tracer
-	} else if spec.Options.TraceSample > 0 {
+	if spec.Options.TraceSample > 0 {
 		eng.Tracer = telemetry.NewTracer(spec.Options.Seed, spec.Options.TraceSample, 0)
 	}
 	return eng, nil

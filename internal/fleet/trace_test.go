@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hercules/internal/cluster"
@@ -224,7 +225,7 @@ func TestTracedDropInstance(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			w.rec = append(w.rec, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
 		}
-		w.trace.Arm(telemetry.NewTracer(1, 1, telemetry.DefaultRingCap), 0, "DLRM-RMC1", hashString("DLRM-RMC1"))
+		w.trace.Arm(telemetry.NewTracer(1, 1, 0), 0, "DLRM-RMC1", hashString("DLRM-RMC1"))
 		w.traceOn = true
 		w.run()
 		drops := 0
@@ -240,5 +241,61 @@ func TestTracedDropInstance(t *testing.T) {
 		if drops == 0 || drops != w.dropped {
 			t.Errorf("%s: %d drop events for %d drops", tc.name, drops, w.dropped)
 		}
+	}
+}
+
+// TestRegionTraceLabels: in a two-region traced day every exported
+// line carries the region of the engine that emitted it.
+func TestRegionTraceLabels(t *testing.T) {
+	spec := regionsTestSpec("spill")
+	spec.Options.TraceSample = 64
+	me := newRegionsEngine(t, spec)
+	bufs := make([]bytes.Buffer, len(me.Engines))
+	for i, eng := range me.Engines {
+		eng.Tracer.AddSink(telemetry.NewNDJSONWriter(&bufs[i]))
+	}
+	if _, err := me.RunDay(regionsWorkloads()); err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range me.Engines {
+		if err := eng.Tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		region := eng.Spec.Regions[0].Name
+		label := []byte(`,"r":"` + region + `",`)
+		lines := bytes.Split(bytes.TrimSpace(bufs[i].Bytes()), []byte("\n"))
+		if len(lines) < 100 {
+			t.Fatalf("region %s: %d trace lines, want a traced day", region, len(lines))
+		}
+		for _, line := range lines {
+			if !bytes.Contains(line, label) {
+				t.Fatalf("region %s: line lacks its label: %s", region, line)
+			}
+		}
+	}
+}
+
+// TestTracerAddsNoEventStorage: a traced engine allocates no staging
+// memory of its own at construction; its events live in the replay
+// tasks' buffers.
+func TestTracerAddsNoEventStorage(t *testing.T) {
+	build := func(sample int) uint64 {
+		opts := testOpts()
+		opts.TraceSample = sample
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e := testEngine(PowerOfTwo, opts)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(e)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	untraced, traced := build(0), build(64)
+	if traced > untraced+64<<10 {
+		t.Errorf("traced engine allocates %d B, untraced %d B: %d B more, want < 64 KiB",
+			traced, untraced, traced-untraced)
 	}
 }

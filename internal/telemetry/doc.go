@@ -11,9 +11,9 @@
 // query's (interval, model, index) identity, never of worker count or
 // scheduling order, so every replay of the same spec traces exactly
 // the same queries. Each model's replay task stages its events in a
-// single-writer ShardBuf; the engine drains them into the Tracer's
-// fixed ring in model-name order and flushes to the attached Sinks
-// once per interval. NDJSONWriter emits a byte-stable
+// single-writer ShardBuf; once per interval the engine ingests the
+// buffers into the Tracer in model-name order and flushes them to the
+// attached Sinks. NDJSONWriter emits a byte-stable
 // newline-delimited JSON stream, ChromeWriter emits Chrome trace-event
 // JSON for Perfetto / chrome://tracing, and CountSink counts without
 // I/O (what benchmarks use).

@@ -63,14 +63,6 @@ func (h *HistogramMetric) Count() int {
 	return h.sk.Count()
 }
 
-// Merge folds another sketch into the histogram (per-interval sketches
-// folding into a run-wide metric).
-func (h *HistogramMetric) Merge(sk *stats.Sketch) {
-	h.mu.Lock()
-	h.sk.Merge(sk)
-	h.mu.Unlock()
-}
-
 // snapshot summarizes the distribution under the registry lock.
 func (h *HistogramMetric) snapshot() HistogramSnapshot {
 	h.mu.Lock()

@@ -60,12 +60,13 @@ func (k Kind) String() string {
 // MaxCandidates caps how many routing candidates one Route event
 // records inline. Full-scan routers (least, hetero) consider the whole
 // pool; the event stores the first MaxCandidates instance IDs plus the
-// true total in NCand, keeping the record pointer-free and poolable.
+// true total in NCand, keeping the record fixed-size and reusable.
 const MaxCandidates = 8
 
-// Event is one pooled trace record: a flat, pointer-free struct (the
-// model name is an interned string shared with the engine) so ring
-// slots and staging buffers recycle without allocator traffic.
+// Event is one trace record, written in place in its task's ShardBuf
+// (whose backing array is reused across intervals) and read from there
+// by the sinks. Model and Region are interned strings shared with the
+// engine, so emitting an event allocates nothing.
 //
 // Field use by kind — TimeS is always the event's virtual-time instant
 // within the interval's replayed slice:
@@ -96,18 +97,20 @@ type Event struct {
 	Aux      float64
 	Model    string
 	// Region labels which region's engine emitted the event in a
-	// multi-region replay (interned, stamped by the tracer at Ingest);
-	// empty for single-region runs.
+	// multi-region replay (the tracer's region, stamped by
+	// ShardBuf.Emit); empty for single-region runs.
 	Region string
 	Cand   [MaxCandidates]int32
 }
 
 // Sink receives flushed trace events in deterministic order. Writes
 // happen on the replay goroutine (between intervals), so a slow sink
-// slows the replay — file sinks should buffer.
+// slows the replay — file sinks should buffer. A sink consumes events
+// one at a time: how a flush splits them into batches never changes
+// what it writes.
 type Sink interface {
 	// WriteEvents consumes one flushed batch; the slice is only valid
-	// during the call (ring slots are recycled).
+	// during the call (the staging buffers are reused).
 	WriteEvents(evs []Event) error
 	// Close flushes and releases the sink at end of run.
 	Close() error
@@ -118,9 +121,10 @@ type Sink interface {
 // query's (interval, model, index) identity — a pure function of the
 // query, never of worker count or scheduling — so every replay of a
 // spec samples the same queries and emits byte-identical traces.
-// Events flow from per-task staging buffers (ShardBuf, single-writer,
-// no locks) into a fixed ring buffer, and from there to the attached
-// sinks at every interval flush.
+// Events are staged in per-task buffers (ShardBuf, single-writer, no
+// locks); the tracer holds no events of its own, only references to
+// the buffers ingested since the last flush, which it writes to the
+// attached sinks at every interval flush.
 //
 // SampleN is the sampling period: 1 traces every query, 1024 one in
 // 1024. The Tracer itself is driven from the replay goroutine only;
@@ -131,36 +135,26 @@ type Tracer struct {
 
 	seed    int64
 	region  string
-	ring    []Event
-	head    int // next write slot
-	size    int // occupied slots
+	staged  [][]Event // ingested since the last Flush, in ingest order
 	dropped uint64
 	written uint64
 	sinks   []Sink
 	err     error
 }
 
-// DefaultRingCap bounds the tracer's in-flight event memory: one
-// interval of sampled events rarely approaches it, and overflow drops
-// the oldest events (counted in Dropped) rather than growing.
-const DefaultRingCap = 1 << 16
-
 // NewTracer returns a tracer with the given sampling seed and period.
-// ringCap <= 0 selects DefaultRingCap.
-func NewTracer(seed int64, sampleN, ringCap int) *Tracer {
+// The third argument is unused: the tracer stages no events of its own.
+func NewTracer(seed int64, sampleN, _ int) *Tracer {
 	if sampleN < 1 {
 		sampleN = 1
 	}
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
-	return &Tracer{SampleN: sampleN, seed: seed, ring: make([]Event, ringCap)}
+	return &Tracer{SampleN: sampleN, seed: seed}
 }
 
 // AddSink attaches an export sink; repeat for several.
 func (t *Tracer) AddSink(s Sink) { t.sinks = append(t.sinks, s) }
 
-// SetRegion labels every event this tracer ingests from now on with
+// SetRegion labels every event of the buffers armed from now on with
 // the given region name (one interned string — no per-event
 // allocation). Multi-region replays give each region's tracer its
 // region; single-region runs leave it empty, and their trace bytes are
@@ -192,60 +186,39 @@ func sampledIn(stream uint64, queryID int64, n int) bool {
 	return splitmix64(stream^uint64(queryID))%uint64(n) == 0
 }
 
-// Ingest moves one staging buffer's events into the ring. Called on
-// the replay goroutine in deterministic (model-name) order. A full ring drains to
-// the sinks mid-ingest (order-preserving — everything runs on the
-// replay goroutine), so no event is lost as long as a sink is
-// attached; with no sinks the oldest events are overwritten (and
-// counted in Dropped), never the newest — a truncated trace keeps its
-// most recent window.
+// Ingest stages one buffer's events for the next Flush. Called on the
+// replay goroutine in deterministic (model-name) order. The tracer
+// keeps a reference, not a copy: evs must stay unchanged until the
+// next Flush.
 func (t *Tracer) Ingest(evs []Event) {
-	for i := range evs {
-		if t.size == len(t.ring) {
-			if len(t.sinks) > 0 {
-				t.Flush()
-			} else {
-				// Overwrite the oldest slot.
-				t.dropped++
-				t.size--
-			}
-		}
-		t.ring[t.head] = evs[i]
-		if t.region != "" {
-			t.ring[t.head].Region = t.region
-		}
-		t.head = (t.head + 1) % len(t.ring)
-		t.size++
+	if len(evs) > 0 {
+		t.staged = append(t.staged, evs)
 	}
 }
 
-// Flush drains the ring to every sink in FIFO order. The engine calls
-// it once per replayed interval, so sinks see a live stream rather
-// than an end-of-run dump.
+// Flush writes the staged events to every sink in ingest order and
+// releases them. The engine calls it once per replayed interval, so
+// sinks see a live stream rather than an end-of-run dump. With no sink
+// attached the events are discarded and counted in Dropped.
 func (t *Tracer) Flush() {
-	if t.size == 0 {
-		return
-	}
-	start := (t.head - t.size + len(t.ring)) % len(t.ring)
-	flushSeg := func(seg []Event) {
+	for _, evs := range t.staged {
+		if len(t.sinks) == 0 {
+			t.dropped += uint64(len(evs))
+			continue
+		}
 		for _, s := range t.sinks {
-			if err := s.WriteEvents(seg); err != nil && t.err == nil {
+			if err := s.WriteEvents(evs); err != nil && t.err == nil {
 				t.err = err
 			}
 		}
-		t.written += uint64(len(seg))
+		t.written += uint64(len(evs))
 	}
-	if start+t.size <= len(t.ring) {
-		flushSeg(t.ring[start : start+t.size])
-	} else {
-		flushSeg(t.ring[start:])
-		flushSeg(t.ring[:t.head])
-	}
-	t.size = 0
+	clear(t.staged)
+	t.staged = t.staged[:0]
 }
 
-// Close flushes the ring and closes every sink, returning the first
-// error any write or close produced.
+// Close flushes the staged events and closes every sink, returning the
+// first error any write or close produced.
 func (t *Tracer) Close() error {
 	t.Flush()
 	for _, s := range t.sinks {
@@ -256,9 +229,8 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// Dropped returns how many events the ring overwrote before they
-// reached a sink (0 in any healthy run; non-zero means the ring is
-// undersized for the sampling rate).
+// Dropped returns how many events were flushed while no sink was
+// attached (0 in any run that exports its trace).
 func (t *Tracer) Dropped() uint64 { return t.dropped }
 
 // Written returns how many events reached the sinks.
@@ -266,8 +238,8 @@ func (t *Tracer) Written() uint64 { return t.written }
 
 // ShardBuf is a replay task's staging buffer: exactly one model's
 // replay task appends to it during an interval (no locks, backing
-// array reused across intervals), and the engine drains every task's
-// buffer into the tracer in model-name order afterwards. Arm binds the
+// array reused across intervals), and the engine hands every task's
+// buffer to the tracer in model-name order afterwards. Arm binds the
 // buffer to its (interval, model) sampling stream; Sampled answers the
 // per-query membership test in a few arithmetic operations, which is
 // what keeps the sampling-off and unsampled-query cost negligible on
@@ -278,16 +250,19 @@ type ShardBuf struct {
 	sampleN  int
 	interval int32
 	model    string
+	region   string
 }
 
 // Arm re-binds the buffer for one interval's task: the sampling
-// stream, the interval tag and the model label stamped on every event.
+// stream, the interval tag and the model and region labels stamped on
+// every event.
 func (b *ShardBuf) Arm(t *Tracer, interval int, model string, modelHash int64) {
 	b.evs = b.evs[:0]
 	b.stream = t.streamSeed(interval, modelHash)
 	b.sampleN = t.SampleN
 	b.interval = int32(interval)
 	b.model = model
+	b.region = t.region
 }
 
 // Sampled reports whether the query is in the trace sample.
@@ -295,9 +270,10 @@ func (b *ShardBuf) Sampled(queryID int64) bool {
 	return sampledIn(b.stream, queryID, b.sampleN)
 }
 
-// Emit appends one event, stamping the buffer's interval and model.
-// The returned pointer is valid until the next Emit or Arm — callers
-// fill kind-specific fields in place (pooled records, no copies).
+// Emit appends one event, stamping the buffer's interval, model and
+// region. The returned pointer is valid until the next Emit or Arm —
+// callers fill kind-specific fields in place (pooled records, no
+// copies).
 func (b *ShardBuf) Emit(kind Kind, queryID int64, timeS float64) *Event {
 	b.evs = append(b.evs, Event{
 		Interval: b.interval,
@@ -306,6 +282,7 @@ func (b *ShardBuf) Emit(kind Kind, queryID int64, timeS float64) *Event {
 		Query:    queryID,
 		TimeS:    timeS,
 		Model:    b.model,
+		Region:   b.region,
 	})
 	return &b.evs[len(b.evs)-1]
 }

@@ -99,45 +99,24 @@ func TestSampleNOne(t *testing.T) {
 	}
 }
 
-// TestRingOverflow: a ring smaller than the ingest volume must drop the
-// oldest events (counted), keep the newest, and deliver them in FIFO
-// order.
-func TestRingOverflow(t *testing.T) {
-	tr := NewTracer(0, 1, 8)
-	evs := make([]Event, 20)
-	for i := range evs {
-		evs[i] = Event{Kind: KindArrival, Query: int64(i)}
-	}
-	tr.Ingest(evs)
-	if got, want := tr.Dropped(), uint64(12); got != want {
-		t.Fatalf("Dropped = %d, want %d", got, want)
-	}
-	var got []int64
-	tr.AddSink(sinkFunc(func(seg []Event) error {
-		for i := range seg {
-			got = append(got, seg[i].Query)
+// TestFlushIngestOrder: Flush writes the slices of several Ingest
+// calls in ingest order and releases them; a flush with no sink
+// attached discards its events and counts them in Dropped.
+func TestFlushIngestOrder(t *testing.T) {
+	tr := NewTracer(0, 1, 0)
+	batch := func(from, n int) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i].Query = int64(from + i)
 		}
-		return nil
-	}))
+		return evs
+	}
+	tr.Ingest(batch(0, 5))
 	tr.Flush()
-	want := []int64{12, 13, 14, 15, 16, 17, 18, 19}
-	if len(got) != len(want) {
-		t.Fatalf("flushed %d events, want %d", len(got), len(want))
+	if tr.Dropped() != 5 || tr.Written() != 0 {
+		t.Fatalf("sink-less flush: Dropped = %d, Written = %d, want 5, 0", tr.Dropped(), tr.Written())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flush order %v, want %v", got, want)
-		}
-	}
-	if tr.Written() != 8 {
-		t.Errorf("Written = %d, want 8", tr.Written())
-	}
-}
 
-// TestRingFlushThrough: with a sink attached, a full ring drains
-// mid-ingest instead of dropping — every event is delivered, in order.
-func TestRingFlushThrough(t *testing.T) {
-	tr := NewTracer(0, 1, 8)
 	var got []int64
 	tr.AddSink(sinkFunc(func(seg []Event) error {
 		for i := range seg {
@@ -145,22 +124,45 @@ func TestRingFlushThrough(t *testing.T) {
 		}
 		return nil
 	}))
-	evs := make([]Event, 20)
-	for i := range evs {
-		evs[i].Query = int64(i)
-	}
-	tr.Ingest(evs)
+	tr.Ingest(batch(0, 7))
+	tr.Ingest(nil)
+	tr.Ingest(batch(7, 1))
+	tr.Ingest(batch(8, 12))
 	tr.Flush()
-	if tr.Dropped() != 0 {
-		t.Fatalf("Dropped = %d, want 0 with a sink attached", tr.Dropped())
+	tr.Flush() // nothing staged: writes nothing
+	if tr.Dropped() != 5 {
+		t.Errorf("Dropped = %d, want 5 (no new drops with a sink attached)", tr.Dropped())
 	}
-	if len(got) != 20 {
-		t.Fatalf("delivered %d events, want 20", len(got))
+	if tr.Written() != 20 || len(got) != 20 {
+		t.Fatalf("Written = %d, delivered %d, want 20", tr.Written(), len(got))
 	}
 	for i := range got {
 		if got[i] != int64(i) {
 			t.Fatalf("delivery order broken at %d: %v", i, got)
 		}
+	}
+}
+
+// TestArmStampsRegion: a buffer armed after SetRegion labels every
+// event it emits with the tracer's region; a buffer armed by a tracer
+// without one leaves Region empty.
+func TestArmStampsRegion(t *testing.T) {
+	tr := NewTracer(0, 1, 0)
+	tr.SetRegion("east")
+	var b ShardBuf
+	b.Arm(tr, 2, "m", 7)
+	for id := int64(1); id <= 4; id++ {
+		b.Emit(KindArrival, id, 0)
+		b.Emit(KindComplete, id, 0.5).Value = 0.5
+	}
+	for i, ev := range b.Events() {
+		if ev.Region != "east" || ev.Model != "m" || ev.Interval != 2 {
+			t.Fatalf("event %d = %+v, want region east, model m, interval 2", i, ev)
+		}
+	}
+	b.Arm(NewTracer(0, 1, 0), 3, "m", 7)
+	if ev := b.Emit(KindArrival, 1, 0); ev.Region != "" {
+		t.Errorf("region-less tracer stamped %q", ev.Region)
 	}
 }
 
