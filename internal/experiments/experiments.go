@@ -22,8 +22,6 @@ type Renderer interface {
 var (
 	herculesTableOnce sync.Once
 	herculesTable     *profiler.Table
-	baselineTableOnce sync.Once
-	baselineTable     *profiler.Table
 )
 
 // HerculesTable returns the process-wide efficiency table profiled with
@@ -37,27 +35,11 @@ func HerculesTable() *profiler.Table {
 	return herculesTable
 }
 
-// BaselineTable returns the efficiency table profiled with the
-// DeepRecSys/Baymax baseline scheduler.
-func BaselineTable() *profiler.Table {
-	baselineTableOnce.Do(func() {
-		baselineTable = profiler.BuildTable(model.Zoo(model.Prod), hw.AllServerTypes(),
-			profiler.Options{Sched: profiler.Baseline, Seed: Seed})
-	})
-	return baselineTable
-}
-
 // SetHerculesTable injects a prebuilt table (e.g. loaded from a JSON
 // cache by the CLIs) so subsequent experiments skip profiling.
 func SetHerculesTable(t *profiler.Table) {
 	herculesTableOnce.Do(func() {})
 	herculesTable = t
-}
-
-// SetBaselineTable injects a prebuilt baseline table.
-func SetBaselineTable(t *profiler.Table) {
-	baselineTableOnce.Do(func() {})
-	baselineTable = t
 }
 
 // header renders a figure banner.

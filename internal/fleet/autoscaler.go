@@ -3,34 +3,41 @@ package fleet
 import "math"
 
 // Scaler is the online autoscaling policy the engine consults during a
-// replay. The engine feeds it every observation window's SLA breach
-// verdict (in virtual-time order) and, at each trace-interval
-// boundary, asks whether to re-provision early and with how much extra
-// over-provision headroom. Scalers registered by name
+// replay. At each trace-interval boundary the engine hands it one
+// ScalerSignal and asks whether to re-provision early and with how much
+// extra over-provision headroom. Scalers registered by name
 // (RegisterScaler) are selectable via Spec.Scaler; a nil Engine.Scaler
 // disables early re-provisioning entirely (scheduled intervals only).
 type Scaler interface {
 	Name() string
-	// Thresholds returns the tail point (e.g. 95 or 99) and the SLA
-	// multiplier the engine's breach verdicts use. Non-positive values
-	// fall back to the defaults (95, 1.0).
-	Thresholds() (tailPct, slaFactor float64)
-	// ObserveWindow feeds one observation window's breach verdict.
-	ObserveWindow(breached bool)
-	// IntervalEnd advances the scaler one trace interval and reports
-	// whether the engine must re-provision early at the next boundary,
-	// plus the extra over-provision headroom currently in force.
-	IntervalEnd() (early bool, extraR float64)
+	// IntervalEnd advances the scaler one trace interval on that
+	// interval's signal and reports whether the engine must
+	// re-provision early at the next boundary, plus the extra
+	// over-provision headroom currently in force.
+	IntervalEnd(sig ScalerSignal) (early bool, extraR float64)
 	// TriggerCount is the number of scaling events so far this run.
 	TriggerCount() int
 }
 
-// UtilizationObserver is an optional Scaler extension: the engine
-// feeds it the fleet's mean service-channel utilization once per
-// interval, after the interval's replay. Utilization-driven policies
-// (ProportionalScaler) implement it; breach-driven policies ignore it.
-type UtilizationObserver interface {
-	ObserveUtilization(util float64)
+// ScalerSignal is everything a Scaler conditions on, built once per
+// interval after the tail merge and the energy sweep.
+type ScalerSignal struct {
+	// Breached holds each observation window's SLA verdict, in
+	// virtual-time order: the window's p95 exceeded the model's SLA
+	// target, or the window dropped a query. It is empty for an
+	// interval with no offered load. The slice is the engine's scratch
+	// buffer, reused next interval: a scaler must not keep it.
+	Breached []bool
+	// Utilization is the fleet's mean service-channel utilization over
+	// the last interval that ran instances (an interval without them
+	// repeats the previous value).
+	Utilization float64
+	// NextGridGPerKWh is the next interval's carbon intensity, the
+	// day-ahead forecast a grid operator publishes (it wraps at the
+	// day boundary), and GridMeanGPerKWh the day's mean. Both are zero
+	// without a grid.
+	NextGridGPerKWh float64
+	GridMeanGPerKWh float64
 }
 
 func init() {
@@ -44,19 +51,12 @@ func init() {
 // on a coarse schedule (tens of minutes) to amortize workload setup;
 // the autoscaler closes the gap the paper leaves open: load that
 // outruns the over-provision headroom *between* scheduled intervals.
-// When Patience consecutive observation windows breach the SLA (tail >
-// SLAFactor × the model's target, or any query dropped), the engine
-// re-provisions at the next interval boundary with the over-provision
-// rate boosted by BoostR; the boost stays in force for exactly
-// HoldIntervals intervals (the triggered re-provision plus
+// When Patience consecutive observation windows breach the SLA, the
+// engine re-provisions at the next interval boundary with the
+// over-provision rate boosted by BoostR; the boost stays in force for
+// exactly HoldIntervals intervals (the triggered re-provision plus
 // HoldIntervals−1 quiet ones), then decays.
 type Autoscaler struct {
-	// TailPct selects the observed tail point (95 or 99; default 95,
-	// matching the paper's latency-bounded-throughput SLA tail).
-	TailPct float64
-	// SLAFactor scales the model SLA into the breach threshold
-	// (default 1.0: any windowed tail above the SLA counts).
-	SLAFactor float64
 	// Patience is the number of consecutive breached windows required
 	// to trigger (default 2 — one bad window can be sampling noise).
 	Patience int
@@ -77,43 +77,33 @@ type Autoscaler struct {
 // NewAutoscaler returns a breach-driven autoscaler with the default
 // tuning.
 func NewAutoscaler() *Autoscaler {
-	return &Autoscaler{TailPct: 95, SLAFactor: 1.0, Patience: 2, BoostR: 0.25, HoldIntervals: 4}
+	return &Autoscaler{Patience: 2, BoostR: 0.25, HoldIntervals: 4}
 }
 
 // Name implements Scaler.
 func (a *Autoscaler) Name() string { return "breach" }
 
-// Thresholds implements Scaler.
-func (a *Autoscaler) Thresholds() (tailPct, slaFactor float64) {
-	return a.TailPct, a.SLAFactor
-}
-
 // TriggerCount implements Scaler.
 func (a *Autoscaler) TriggerCount() int { return a.Events }
 
-// ObserveWindow feeds one observation window's breach verdict, in
-// virtual-time order.
-func (a *Autoscaler) ObserveWindow(breached bool) {
-	if a == nil {
-		return
-	}
-	if !breached {
-		a.streak = 0
-		return
-	}
-	a.streak++
-	if a.streak >= a.Patience && !a.pending {
-		a.pending = true
-		a.Events++
-	}
-}
-
-// IntervalEnd advances the autoscaler one re-provisioning interval and
-// reports whether the engine must re-provision early at the next
-// boundary, plus the extra over-provision headroom currently in force.
-func (a *Autoscaler) IntervalEnd() (early bool, extraR float64) {
+// IntervalEnd implements Scaler: extend the breach streak over the
+// interval's windows, then report whether the engine must re-provision
+// early at the next boundary, plus the extra over-provision headroom
+// currently in force.
+func (a *Autoscaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
 	if a == nil {
 		return false, 0
+	}
+	for _, breached := range sig.Breached {
+		if !breached {
+			a.streak = 0
+			continue
+		}
+		a.streak++
+		if a.streak >= a.Patience && !a.pending {
+			a.pending = true
+			a.Events++
+		}
 	}
 	if a.pending {
 		a.pending = false
@@ -154,7 +144,6 @@ type ProportionalScaler struct {
 	// the currently applied headroom.
 	Hysteresis float64
 
-	util    float64
 	applied float64
 	events  int
 }
@@ -168,29 +157,17 @@ func NewProportionalScaler() *ProportionalScaler {
 // Name implements Scaler.
 func (p *ProportionalScaler) Name() string { return "prop" }
 
-// Thresholds implements Scaler: the breach-verdict thresholds stay at
-// the defaults — this scaler does not act on them, but the engine's
-// SLA-violation accounting still uses them.
-func (p *ProportionalScaler) Thresholds() (tailPct, slaFactor float64) { return 95, 1.0 }
-
-// ObserveWindow implements Scaler; the proportional policy is
-// breach-agnostic.
-func (p *ProportionalScaler) ObserveWindow(bool) {}
-
-// ObserveUtilization implements UtilizationObserver.
-func (p *ProportionalScaler) ObserveUtilization(util float64) { p.util = util }
-
 // TriggerCount implements Scaler.
 func (p *ProportionalScaler) TriggerCount() int { return p.events }
 
-// IntervalEnd implements Scaler: proportional control on the last
-// observed mean utilization.
-func (p *ProportionalScaler) IntervalEnd() (early bool, extraR float64) {
+// IntervalEnd implements Scaler: proportional control on the signal's
+// mean utilization.
+func (p *ProportionalScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
 	target := p.TargetUtil
 	if target <= 0 {
 		target = 0.70
 	}
-	want := p.Gain * (p.util - target) / target
+	want := p.Gain * (sig.Utilization - target) / target
 	want = math.Min(math.Max(want, 0), p.MaxBoostR)
 	if math.Abs(want-p.applied) <= p.Hysteresis {
 		return false, p.applied

@@ -6,15 +6,6 @@ import (
 	"hercules/internal/grid"
 )
 
-// GridObserver is an optional Scaler extension: when a grid timeline
-// is configured, the engine feeds the next interval's carbon intensity
-// (the day-ahead forecast — Timeline.At wraps at the day boundary) and
-// the day's mean once per interval, just before IntervalEnd. Carbon-
-// aware policies implement it; latency-driven policies ignore it.
-type GridObserver interface {
-	ObserveGrid(nextGPerKWh, dayMeanGPerKWh float64)
-}
-
 func init() {
 	RegisterScaler("carbon", func() Scaler { return NewCarbonScaler() })
 	RegisterAdmission("carbon", func() Admission { return NewCarbonAdmission() })
@@ -32,8 +23,8 @@ func init() {
 // Latency remains the backstop: a breach streak (same Patience idea as
 // the breach scaler) forces an early re-provision at full BoostR no
 // matter how dirty the hour — the policy trades carbon for slack, not
-// for SLA violations. Without a grid timeline the scaler never
-// observes an intensity and degrades to that breach backstop alone.
+// for SLA violations. Without a grid timeline the signal's intensities
+// are zero and the scaler degrades to that breach backstop alone.
 type CarbonScaler struct {
 	// CleanFrac is the fraction of the day's mean intensity at or
 	// below which an hour counts as clean (default 0.85): clean hours
@@ -55,8 +46,6 @@ type CarbonScaler struct {
 	// (default 4, counting the triggered re-provision).
 	HoldIntervals int
 
-	nextG   float64
-	meanG   float64
 	applied float64
 	streak  int
 	pending bool
@@ -77,36 +66,25 @@ func NewCarbonScaler() *CarbonScaler {
 // Name implements Scaler.
 func (c *CarbonScaler) Name() string { return "carbon" }
 
-// Thresholds implements Scaler: default breach verdicts (the backstop
-// and the SLA-violation accounting share them).
-func (c *CarbonScaler) Thresholds() (tailPct, slaFactor float64) { return 95, 1.0 }
-
 // TriggerCount implements Scaler.
 func (c *CarbonScaler) TriggerCount() int { return c.events }
 
-// ObserveGrid implements GridObserver.
-func (c *CarbonScaler) ObserveGrid(nextGPerKWh, dayMeanGPerKWh float64) {
-	c.nextG, c.meanG = nextGPerKWh, dayMeanGPerKWh
-}
-
-// ObserveWindow implements Scaler: the latency backstop's breach
-// streak.
-func (c *CarbonScaler) ObserveWindow(breached bool) {
-	if !breached {
-		c.streak = 0
-		return
-	}
-	c.streak++
-	if c.streak >= max(c.Patience, 1) && !c.pending {
-		c.pending = true
-		c.events++
-	}
-}
-
-// IntervalEnd implements Scaler: pick the next interval's headroom
-// from its forecast intensity regime, unless the latency backstop is
+// IntervalEnd implements Scaler: extend the latency backstop's breach
+// streak over the interval's windows, then pick the next interval's
+// headroom from its forecast intensity regime, unless the backstop is
 // in force.
-func (c *CarbonScaler) IntervalEnd() (early bool, extraR float64) {
+func (c *CarbonScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
+	for _, breached := range sig.Breached {
+		if !breached {
+			c.streak = 0
+			continue
+		}
+		c.streak++
+		if c.streak >= max(c.Patience, 1) && !c.pending {
+			c.pending = true
+			c.events++
+		}
+	}
 	if c.pending {
 		c.pending = false
 		c.streak = 0
@@ -119,8 +97,8 @@ func (c *CarbonScaler) IntervalEnd() (early bool, extraR float64) {
 		return false, c.applied
 	}
 	want := 0.0
-	if c.meanG > 0 {
-		switch rel := c.nextG / c.meanG; {
+	if sig.GridMeanGPerKWh > 0 {
+		switch rel := sig.NextGridGPerKWh / sig.GridMeanGPerKWh; {
 		case rel <= c.CleanFrac:
 			want = c.BoostR
 		case rel >= c.DirtyFrac:

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hercules/internal/cluster"
 	"hercules/internal/grid"
+	"hercules/internal/workload"
 )
 
 func TestCarbonScalerRegimes(t *testing.T) {
@@ -16,24 +18,20 @@ func TestCarbonScalerRegimes(t *testing.T) {
 	mean := 300.0
 
 	// Clean hour: boost headroom (a regime change is an early trigger).
-	c.ObserveGrid(mean*0.5, mean)
-	early, extra := c.IntervalEnd()
+	early, extra := c.IntervalEnd(ScalerSignal{NextGridGPerKWh: mean * 0.5, GridMeanGPerKWh: mean})
 	if !early || extra != c.BoostR {
 		t.Errorf("clean hour: early=%v extra=%g, want true/%g", early, extra, c.BoostR)
 	}
 	// Same regime next interval: no new trigger.
-	c.ObserveGrid(mean*0.6, mean)
-	if early, extra = c.IntervalEnd(); early || extra != c.BoostR {
+	if early, extra = c.IntervalEnd(ScalerSignal{NextGridGPerKWh: mean * 0.6, GridMeanGPerKWh: mean}); early || extra != c.BoostR {
 		t.Errorf("steady clean hour: early=%v extra=%g, want false/%g", early, extra, c.BoostR)
 	}
 	// Dirty hour: lean (negative headroom, clamped by the engine).
-	c.ObserveGrid(mean*1.5, mean)
-	if early, extra = c.IntervalEnd(); !early || extra != -c.LeanR {
+	if early, extra = c.IntervalEnd(ScalerSignal{NextGridGPerKWh: mean * 1.5, GridMeanGPerKWh: mean}); !early || extra != -c.LeanR {
 		t.Errorf("dirty hour: early=%v extra=%g, want true/%g", early, extra, -c.LeanR)
 	}
 	// Dead band: base headroom.
-	c.ObserveGrid(mean, mean)
-	if early, extra = c.IntervalEnd(); !early || extra != 0 {
+	if early, extra = c.IntervalEnd(ScalerSignal{NextGridGPerKWh: mean, GridMeanGPerKWh: mean}); !early || extra != 0 {
 		t.Errorf("dead band: early=%v extra=%g, want true/0", early, extra)
 	}
 }
@@ -42,19 +40,17 @@ func TestCarbonScalerBreachBackstop(t *testing.T) {
 	c := NewCarbonScaler()
 	mean := 300.0
 	// Dirtiest possible hour, but the fleet is breaching: latency wins.
-	c.ObserveGrid(mean*2, mean)
-	for i := 0; i < c.Patience; i++ {
-		c.ObserveWindow(true)
-	}
-	early, extra := c.IntervalEnd()
+	dirty := ScalerSignal{NextGridGPerKWh: mean * 2, GridMeanGPerKWh: mean}
+	breached := dirty
+	breached.Breached = breachRun(c.Patience).Breached
+	early, extra := c.IntervalEnd(breached)
 	if !early || extra != c.BoostR {
 		t.Fatalf("backstop: early=%v extra=%g, want true/%g", early, extra, c.BoostR)
 	}
 	// The boost holds for HoldIntervals total despite the dirty grid.
 	held := 1
 	for i := 0; i < c.HoldIntervals+2; i++ {
-		c.ObserveGrid(mean*2, mean)
-		if _, extra := c.IntervalEnd(); extra == c.BoostR {
+		if _, extra := c.IntervalEnd(dirty); extra == c.BoostR {
 			held++
 		}
 	}
@@ -214,53 +210,110 @@ func TestZeroGridOmitsCarbonJSON(t *testing.T) {
 	}
 }
 
-// gridRecorder is a Scaler + GridObserver stub recording what the
-// engine feeds it.
-type gridRecorder struct {
-	nextG []float64
-	meanG float64
+// sigRecorder is a Scaler that records every signal the engine hands
+// it and delegates the decision to inner; with a nil inner it never
+// re-provisions early.
+type sigRecorder struct {
+	inner Scaler
+	sigs  []ScalerSignal
 }
 
-func (g *gridRecorder) Name() string                   { return "rec" }
-func (g *gridRecorder) Thresholds() (float64, float64) { return 95, 1.0 }
-func (g *gridRecorder) ObserveWindow(bool)             {}
-func (g *gridRecorder) IntervalEnd() (bool, float64)   { return false, 0 }
-func (g *gridRecorder) TriggerCount() int              { return 0 }
-func (g *gridRecorder) ObserveGrid(next, mean float64) {
-	g.nextG = append(g.nextG, next)
-	g.meanG = mean
+func (r *sigRecorder) Name() string {
+	if r.inner != nil {
+		return r.inner.Name()
+	}
+	return "rec"
 }
 
-// TestGridObserverFeed: a scaler implementing GridObserver receives
-// the next interval's forecast intensity (wrapping at the day
-// boundary) and the day mean, once per interval.
-func TestGridObserverFeed(t *testing.T) {
-	ws := []cluster.Workload{{Model: "DLRM-RMC1", Trace: stepTrace(800, 1200, 1600, 2000)}}
-	rec := &gridRecorder{}
+func (r *sigRecorder) IntervalEnd(sig ScalerSignal) (bool, float64) {
+	rec := sig
+	rec.Breached = slices.Clone(sig.Breached) // the engine reuses the slice
+	r.sigs = append(r.sigs, rec)
+	if r.inner == nil {
+		return false, 0
+	}
+	return r.inner.IntervalEnd(sig)
+}
+
+func (r *sigRecorder) TriggerCount() int {
+	if r.inner != nil {
+		return r.inner.TriggerCount()
+	}
+	return 0
+}
+
+// TestScalerSignalFeed: once per interval the scaler receives exactly
+// that interval's window verdicts, the fleet's mean utilization, the
+// next interval's forecast intensity (wrapping at the day boundary) and
+// the day mean.
+func TestScalerSignalFeed(t *testing.T) {
+	// Hourly steps give every interval its own hour of the duck curve.
+	// The surge at hours 1-2 outruns the fleet provisioned for hour 0
+	// and breaches (the recorder never re-provisions early), hour 3
+	// offers nothing, and the query budget shortens the busier slices,
+	// so the window count varies by interval.
+	tr := workload.DiurnalTrace{Service: "test", StepS: 3600,
+		LoadsQPS: []float64{200, 2400, 2400, 0, 1200, 2400, 800, 200}}
+	opts := testOpts()
+	opts.MaxQueriesPerInterval = 4000
+	gs := grid.Spec{Curve: "duck"}
 	e, err := NewEngine(Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
-		HeadroomR: 0.05, Grid: grid.Spec{Curve: "duck"}, Options: testOpts()},
-		WithFleet(testFleet()), WithTable(testTable()), WithScaler(rec),
+		HeadroomR: 0.05, Grid: gs, Options: opts},
+		WithFleet(testFleet()), WithTable(testTable()),
 		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunDay(ws); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.nextG) != 4 {
-		t.Fatalf("ObserveGrid called %d times, want one per interval (4)", len(rec.nextG))
-	}
-	if rec.meanG <= 0 {
-		t.Error("day mean intensity not fed")
-	}
-	tl, err := (grid.Spec{Curve: "duck"}).Compile("local", 4, 600, 0)
+	rec := &sigRecorder{}
+	e.Scaler = rec
+	res, err := e.RunDay([]cluster.Workload{{Model: "DLRM-RMC1", Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, got := range rec.nextG {
-		if want := tl.At(i + 1); math.Abs(got-want) > 1e-9 {
-			t.Errorf("interval %d: forecast %g, want next interval's %g", i, got, want)
+	if len(rec.sigs) != len(res.Steps) {
+		t.Fatalf("IntervalEnd called %d times, want one per interval (%d)", len(rec.sigs), len(res.Steps))
+	}
+	if res.Steps[0].Windows == res.Steps[1].Windows {
+		t.Fatalf("the query budget must vary the window count: %d and %d windows",
+			res.Steps[0].Windows, res.Steps[1].Windows)
+	}
+	tl, err := gs.Compile("local", len(tr.LoadsQPS), tr.StepS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var breached, clean int
+	for i, st := range res.Steps {
+		sig := rec.sigs[i]
+		if len(sig.Breached) != st.Windows {
+			t.Errorf("interval %d: %d verdicts, want one per window (%d)", i, len(sig.Breached), st.Windows)
 		}
+		n := 0
+		for _, b := range sig.Breached {
+			if b {
+				n++
+			}
+		}
+		if n != st.WindowsBreached {
+			t.Errorf("interval %d: %d breached verdicts, stats count %d", i, n, st.WindowsBreached)
+		}
+		breached += n
+		clean += len(sig.Breached) - n
+		if sig.Utilization < 0 || sig.Utilization > 1 || (st.Queries > 0 && sig.Utilization == 0) {
+			t.Errorf("interval %d: utilization %g", i, sig.Utilization)
+		}
+		if want := tl.At(i + 1); sig.NextGridGPerKWh != want {
+			t.Errorf("interval %d: forecast %g, want next interval's %g", i, sig.NextGridGPerKWh, want)
+		}
+		if sig.GridMeanGPerKWh != tl.MeanG() {
+			t.Errorf("interval %d: day mean %g, want %g", i, sig.GridMeanGPerKWh, tl.MeanG())
+		}
+	}
+	if breached == 0 || clean == 0 {
+		t.Fatalf("the day must mix breached (%d) and clean (%d) windows", breached, clean)
+	}
+	if rec.sigs[3].Utilization != rec.sigs[2].Utilization {
+		t.Errorf("the idle hour must repeat the last utilization: %g, want %g",
+			rec.sigs[3].Utilization, rec.sigs[2].Utilization)
 	}
 }
 

@@ -27,9 +27,9 @@
 //     admission and geo-routing policies constructible by name (one
 //     generic registry underneath, so all four axes share semantics);
 //     the built-ins (routers rr, least, p2c, hetero; scalers breach,
-//     prop; admission deadline; geo local, spill) register themselves
-//     here, and a policy registered by any other package is
-//     immediately selectable by every Spec and CLI flag;
+//     prop, carbon; admission deadline, carbon; geo local, spill)
+//     register themselves here, and a policy registered by any other
+//     package is immediately selectable by every Spec and CLI flag;
 //   - Engine / RunDay — replay a day of cluster.Workload traces and
 //     return per-interval and aggregate DayResult metrics;
 //   - Observer — the per-interval streaming hook: RunDay pushes each
@@ -40,8 +40,10 @@
 //     (ReplaySlice replays one hand-built pool through RunDay's loop);
 //   - Instance — one activated server as an M/G/c/(c+K) queue, with
 //     optional dynamic batching (EnableBatching / Options.MaxBatch);
-//   - Scaler — online autoscaling: the breach-driven Autoscaler and
-//     the target-utilization ProportionalScaler ship built in;
+//   - Scaler — online autoscaling on one ScalerSignal per interval:
+//     the breach-driven Autoscaler, the target-utilization
+//     ProportionalScaler and the grid-following CarbonScaler ship
+//     built in;
 //   - Admission — SLA-aware load shedding at the front door
 //     (DeadlineAdmission sheds on the previous interval's deadline
 //     overshoot); nil admits everything;

@@ -156,7 +156,10 @@ type Engine struct {
 	typeW map[string]serverWatts
 	// gridTL is the day's compiled carbon-intensity timeline (nil reads
 	// as zero intensity — the no-grid replay).
-	gridTL  *grid.Timeline
+	gridTL *grid.Timeline
+	// util is the fleet's mean channel utilization over the last
+	// interval that ran instances (ScalerSignal.Utilization).
+	util    float64
 	scratch replayScratch
 	// run is the in-flight day's cross-interval state (beginDay sets
 	// it, endDay clears it); an Engine replays one day at a time.
@@ -1497,11 +1500,12 @@ func runInterval(engines []*Engine) {
 // finishInterval completes the interval prepareInterval began once its
 // tasks have run (runInterval calls it): drain the staged trace events in model-name order and
 // flush the tracer, merge the tails, sweep energy, price carbon, publish
-// the interval to the observers and latch the autoscaler and
-// fleet-health signals for the next boundary.
+// the interval to the observers, hand the scaler its signal and latch
+// the fleet-health signal for the next boundary.
 func (e *Engine) finishInterval() {
 	r := e.run
 	ist := &r.ist
+	var breached []bool
 	if len(r.tasks) > 0 {
 		// Profiles attribute the drain, merge and sweep to one stage. The
 		// caller's goroutine is left unlabelled afterwards: its own
@@ -1518,7 +1522,7 @@ func (e *Engine) finishInterval() {
 			}
 			tr.Flush()
 		}
-		e.mergeTails(r.tasks)
+		breached = e.mergeTails(r.tasks)
 		e.sweepEnergy(r.tasks)
 		pprof.SetGoroutineLabels(context.Background())
 	}
@@ -1532,13 +1536,14 @@ func (e *Engine) finishInterval() {
 
 	r.earlyPending, r.extraR = false, 0
 	if e.Scaler != nil {
-		if g, ok := e.Scaler.(GridObserver); ok && e.gridTL != nil {
+		sig := ScalerSignal{Breached: breached, Utilization: e.util}
+		if e.gridTL != nil {
 			// The next interval's intensity plays the role of the
 			// day-ahead forecast a grid operator publishes (At wraps at
 			// the day boundary), judged against the day's mean.
-			g.ObserveGrid(e.gridTL.At(ist.Index+1), e.gridTL.MeanG())
+			sig.NextGridGPerKWh, sig.GridMeanGPerKWh = e.gridTL.At(ist.Index+1), e.gridTL.MeanG()
 		}
-		r.earlyPending, r.extraR = e.Scaler.IntervalEnd()
+		r.earlyPending, r.extraR = e.Scaler.IntervalEnd(sig)
 	}
 	if !r.eff.SameFleetState(r.knownFleet) {
 		// Health checks noticed servers dying or returning during
@@ -1550,26 +1555,18 @@ func (e *Engine) finishInterval() {
 }
 
 // mergeTails folds the tasks' latency windows into the interval's
-// stats: per-model windowed tails drive breach verdicts, per-model
-// tails feed next interval's admission signal, and the aggregate
-// distribution drives the interval percentiles. Every percentile is
-// selected exactly, straight from the tasks' window buffers, read in
-// place as segments.
-func (e *Engine) mergeTails(tasks []*poolTask) {
+// stats: per-model windowed p95s against each model's SLA target (and
+// any drop) decide the window breach verdicts, per-model tails feed
+// next interval's admission signal, and the aggregate distribution
+// drives the interval percentiles. Every percentile is selected
+// exactly, straight from the tasks' window buffers, read in place as
+// segments. It returns the verdicts for the scaler signal, in the
+// engine's scratch (valid until the next merge).
+func (e *Engine) mergeTails(tasks []*poolTask) []bool {
 	r := e.run
 	ist := &r.ist
 	scr := &e.scratch
 	windows := ist.Windows
-	tailPct, slaFactor := 95.0, 1.0
-	if e.Scaler != nil {
-		tp, sf := e.Scaler.Thresholds()
-		if tp > 0 {
-			tailPct = tp
-		}
-		if sf > 0 {
-			slaFactor = sf
-		}
-	}
 	for cap(scr.breached) < windows {
 		scr.breached = append(scr.breached[:cap(scr.breached)], false)
 	}
@@ -1586,14 +1583,13 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 	seg := 0 // the current task's first window in scr.segs
 	for _, t := range tasks {
 		m := t.modelName
-		limit := t.model.SLATargetMS * slaFactor
 		var tail [2]float64
 		for w, win := range t.winLatMS {
 			if t.winDrops[w] > 0 {
 				breached[w] = true
 			} else if len(win) > 0 {
-				scr.sel.Query(seg+w, seg+w+1, []float64{tailPct}, tail[:1])
-				if tail[0] > limit {
+				scr.sel.Query(seg+w, seg+w+1, []float64{95}, tail[:1])
+				if tail[0] > t.model.SLATargetMS {
 					breached[w] = true
 				}
 			}
@@ -1634,18 +1630,15 @@ func (e *Engine) mergeTails(tasks []*poolTask) {
 		if b {
 			ist.WindowsBreached++
 		}
-		if e.Scaler != nil {
-			e.Scaler.ObserveWindow(b)
-		}
 	}
 	ist.ViolationMin = r.stepS / 60 * float64(ist.WindowsBreached) / float64(windows)
+	return breached
 }
 
 // sweepEnergy prices the interval's energy: every activated instance
 // idles for the whole interval and adds utilization-proportional
 // dynamic power up to its profiled provisioned budget. The same sweep
-// yields the fleet's mean channel utilization for utilization-driven
-// scalers.
+// measures the fleet's mean channel utilization for the scaler signal.
 func (e *Engine) sweepEnergy(tasks []*poolTask) {
 	r := e.run
 	var watts, utilSum float64
@@ -1670,8 +1663,8 @@ func (e *Engine) sweepEnergy(tasks []*poolTask) {
 		}
 	}
 	r.ist.EnergyKJ = watts * r.stepS / 1e3
-	if uo, ok := e.Scaler.(UtilizationObserver); ok && nInsts > 0 {
-		uo.ObserveUtilization(utilSum / float64(nInsts))
+	if nInsts > 0 {
+		e.util = utilSum / float64(nInsts)
 	}
 }
 

@@ -165,20 +165,27 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
+// breaches is a ScalerSignal carrying only window verdicts.
+func breaches(verdicts ...bool) ScalerSignal { return ScalerSignal{Breached: verdicts} }
+
+// breachRun is a ScalerSignal of n breached windows.
+func breachRun(n int) ScalerSignal {
+	sig := ScalerSignal{Breached: make([]bool, n)}
+	for i := range sig.Breached {
+		sig.Breached[i] = true
+	}
+	return sig
+}
+
 func TestAutoscalerWindowLogic(t *testing.T) {
 	a := NewAutoscaler()
 	a.Patience = 3
-	a.ObserveWindow(true)
-	a.ObserveWindow(true)
-	a.ObserveWindow(false) // streak reset
-	a.ObserveWindow(true)
-	if early, _ := a.IntervalEnd(); early {
+	// The clean window resets the streak; the last breach carries over.
+	if early, _ := a.IntervalEnd(breaches(true, true, false, true)); early {
 		t.Fatal("must not trigger below patience")
 	}
-	a.ObserveWindow(true)
-	a.ObserveWindow(true)
-	a.ObserveWindow(true)
-	early, extra := a.IntervalEnd()
+	// The streak spans the interval boundary: 1 + 2 reaches patience.
+	early, extra := a.IntervalEnd(breaches(true, true))
 	if !early || extra != a.BoostR {
 		t.Fatalf("trigger expected: early=%v extra=%v", early, extra)
 	}
@@ -188,11 +195,11 @@ func TestAutoscalerWindowLogic(t *testing.T) {
 	// The boost is in force for HoldIntervals intervals total: the
 	// triggered re-provision plus HoldIntervals-1 quiet ones.
 	for i := 0; i < a.HoldIntervals-1; i++ {
-		if early, extra = a.IntervalEnd(); early || extra != a.BoostR {
+		if early, extra = a.IntervalEnd(ScalerSignal{}); early || extra != a.BoostR {
 			t.Fatalf("hold interval %d: early=%v extra=%v", i, early, extra)
 		}
 	}
-	if _, extra = a.IntervalEnd(); extra != 0 {
+	if _, extra = a.IntervalEnd(ScalerSignal{}); extra != 0 {
 		t.Fatalf("boost must decay, extra=%v", extra)
 	}
 }
@@ -205,14 +212,13 @@ func TestAutoscalerBoostWindowExact(t *testing.T) {
 	for _, hold := range []int{1, 2, 4} {
 		a := NewAutoscaler()
 		a.HoldIntervals = hold
-		for i := 0; i < a.Patience; i++ {
-			a.ObserveWindow(true)
-		}
+		sig := breachRun(a.Patience)
 		boosted := 0
 		for i := 0; i < hold+3; i++ {
-			if _, extra := a.IntervalEnd(); extra > 0 {
+			if _, extra := a.IntervalEnd(sig); extra > 0 {
 				boosted++
 			}
+			sig = ScalerSignal{}
 		}
 		if boosted != hold {
 			t.Errorf("HoldIntervals=%d: boost in force for %d intervals", hold, boosted)
@@ -387,6 +393,55 @@ func TestRunDayAccounting(t *testing.T) {
 	if qsum != res.TotalQueries || dsum != res.TotalDrops {
 		t.Fatalf("per-interval sums (%d, %d) disagree with totals (%d, %d)",
 			qsum, dsum, res.TotalQueries, res.TotalDrops)
+	}
+}
+
+// TestZeroLoadDay: a day that offers nothing replays nothing (no
+// queries, windows, servers, energy, tails or violations) under every
+// built-in latency and utilization scaler, and no scaler fires on the
+// empty verdicts it is handed.
+func TestZeroLoadDay(t *testing.T) {
+	ws := []cluster.Workload{{Model: "DLRM-RMC1", Trace: stepTrace(0, 0, 0, 0, 0, 0)}}
+	for _, name := range []string{"breach", "prop", "none"} {
+		e, err := NewEngine(Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
+			Scaler: name, HeadroomR: 0.05, Options: testOpts()},
+			WithFleet(testFleet()), WithTable(testTable()),
+			WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec *sigRecorder
+		if e.Scaler != nil {
+			rec = &sigRecorder{inner: e.Scaler}
+			e.Scaler = rec
+		}
+		res, err := e.RunDay(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Steps) != 6 {
+			t.Fatalf("%s: %d intervals, want 6", name, len(res.Steps))
+		}
+		for _, st := range res.Steps {
+			if st.Queries != 0 || st.Drops != 0 || st.Shed != 0 || st.Windows != 0 ||
+				st.ActiveServers != 0 || st.EnergyKJ != 0 || st.P99MS != 0 || st.ViolationMin != 0 {
+				t.Errorf("%s: interval %d is not idle: %+v", name, st.Index, st)
+			}
+		}
+		if res.AutoscaleEvents != 0 {
+			t.Errorf("%s: %d autoscale events on an idle day", name, res.AutoscaleEvents)
+		}
+		if rec == nil {
+			continue
+		}
+		if len(rec.sigs) != len(res.Steps) {
+			t.Fatalf("%s: IntervalEnd called %d times, want %d", name, len(rec.sigs), len(res.Steps))
+		}
+		for i, sig := range rec.sigs {
+			if len(sig.Breached) != 0 {
+				t.Errorf("%s: interval %d handed %d verdicts, want none", name, i, len(sig.Breached))
+			}
+		}
 	}
 }
 

@@ -77,14 +77,6 @@ func MergeDays(parts ...DayResult) DayResult {
 			out.MeanP99MS += p.MeanP99MS / float64(len(parts))
 		}
 	}
-	out.DropFrac, out.CacheHitRate = 0, 0
-	if out.TotalQueries > 0 {
-		out.DropFrac = float64(out.TotalDrops) / float64(out.TotalQueries)
-		out.CacheHitRate = float64(out.TotalCacheHits) / float64(out.TotalQueries)
-	}
-	out.CarbonPerQueryG = 0
-	if served := out.TotalQueries - out.TotalDrops; served > 0 {
-		out.CarbonPerQueryG = out.TotalCarbonG / float64(served)
-	}
+	out.setRatios()
 	return out
 }

@@ -125,6 +125,13 @@ func (d *dayAggregator) finish(steps int) {
 	res := d.res
 	res.MeanP95MS /= float64(steps)
 	res.MeanP99MS /= float64(steps)
+	res.setRatios()
+}
+
+// setRatios computes DropFrac, CacheHitRate and CarbonPerQueryG from
+// the result's totals (zero where the denominator is).
+func (res *DayResult) setRatios() {
+	res.DropFrac, res.CacheHitRate, res.CarbonPerQueryG = 0, 0, 0
 	if res.TotalQueries > 0 {
 		res.DropFrac = float64(res.TotalDrops) / float64(res.TotalQueries)
 		res.CacheHitRate = float64(res.TotalCacheHits) / float64(res.TotalQueries)

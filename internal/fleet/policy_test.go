@@ -79,35 +79,30 @@ func propScaler() *ProportionalScaler {
 func TestProportionalScalerHysteresisBoundary(t *testing.T) {
 	p := propScaler()
 	// want = 0.25 == Hysteresis exactly: hold, keep applied 0, no event.
-	p.ObserveUtilization(0.625)
-	if early, extra := p.IntervalEnd(); early || extra != 0 {
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.625}); early || extra != 0 {
 		t.Fatalf("move == hysteresis must hold: early=%v extra=%g", early, extra)
 	}
 	if p.TriggerCount() != 0 {
 		t.Fatalf("hold counted as a trigger")
 	}
 	// want = 0.375: |0.375-0| > 0.25 → re-provision with the new headroom.
-	p.ObserveUtilization(0.6875)
-	if early, extra := p.IntervalEnd(); !early || extra != 0.375 {
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.6875}); !early || extra != 0.375 {
 		t.Fatalf("move past hysteresis must trigger: early=%v extra=%g", early, extra)
 	}
 	if p.TriggerCount() != 1 {
 		t.Fatalf("trigger count %d, want 1", p.TriggerCount())
 	}
 	// Same utilization again: zero move, hold at the applied 0.375.
-	p.ObserveUtilization(0.6875)
-	if early, extra := p.IntervalEnd(); early || extra != 0.375 {
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.6875}); early || extra != 0.375 {
 		t.Fatalf("steady state must hold applied headroom: early=%v extra=%g", early, extra)
 	}
 	// Decay within the band: want falls to 0.25, |0.25-0.375| <= 0.25 →
 	// the applied headroom persists (no flapping on small drifts).
-	p.ObserveUtilization(0.625)
-	if early, extra := p.IntervalEnd(); early || extra != 0.375 {
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.625}); early || extra != 0.375 {
 		t.Fatalf("in-band decay must hold: early=%v extra=%g", early, extra)
 	}
 	// Full decay: want 0, move 0.375 > band → re-provision back down.
-	p.ObserveUtilization(0.5)
-	if early, extra := p.IntervalEnd(); !early || extra != 0 {
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.5}); !early || extra != 0 {
 		t.Fatalf("out-of-band decay must trigger: early=%v extra=%g", early, extra)
 	}
 	if p.TriggerCount() != 2 {
@@ -117,35 +112,33 @@ func TestProportionalScalerHysteresisBoundary(t *testing.T) {
 
 // TestProportionalScalerClampsAndDefaults: negative overshoot clamps to
 // zero headroom, MaxBoostR caps runaway overshoot, a non-positive
-// target falls back to 0.70, and the breach-verdict surface stays at
-// the engine defaults.
+// target falls back to 0.70, and breach verdicts do not move the
+// headroom.
 func TestProportionalScalerClampsAndDefaults(t *testing.T) {
 	p := propScaler()
-	p.ObserveUtilization(0.1) // far under target: want clamps to 0
-	if early, extra := p.IntervalEnd(); early || extra != 0 {
+	// Far under target: want clamps to 0.
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 0.1}); early || extra != 0 {
 		t.Errorf("underload: early=%v extra=%g, want hold at 0", early, extra)
 	}
-	p.ObserveUtilization(2.0) // want = 3, capped at MaxBoostR
-	if early, extra := p.IntervalEnd(); !early || extra != 0.5 {
+	// want = 3, capped at MaxBoostR.
+	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 2.0}); !early || extra != 0.5 {
 		t.Errorf("overload: early=%v extra=%g, want trigger at cap 0.5", early, extra)
 	}
 	zero := &ProportionalScaler{Gain: 1, MaxBoostR: 0.5, Hysteresis: 0.05}
-	zero.ObserveUtilization(0.70) // at the fallback target → want 0
-	if early, extra := zero.IntervalEnd(); early || extra != 0 {
+	// At the fallback target: want 0.
+	if early, extra := zero.IntervalEnd(ScalerSignal{Utilization: 0.70}); early || extra != 0 {
 		t.Errorf("zero target must fall back to 0.70: early=%v extra=%g", early, extra)
 	}
 	d := NewProportionalScaler()
 	if d.TargetUtil != 0.70 || d.Gain != 1.0 || d.MaxBoostR != 0.5 || d.Hysteresis != 0.05 {
 		t.Errorf("default tuning changed: %+v", d)
 	}
-	if tail, factor := d.Thresholds(); tail != 95 || factor != 1.0 {
-		t.Errorf("thresholds (%g, %g), want (95, 1)", tail, factor)
-	}
 	if d.Name() != "prop" {
 		t.Errorf("name %q", d.Name())
 	}
-	d.ObserveWindow(true) // breach-agnostic: must not disturb state
-	if early, extra := d.IntervalEnd(); early && extra != 0 {
-		t.Errorf("ObserveWindow leaked into proportional state")
+	// Breach-agnostic: at the target utilization, breached windows
+	// must not move the headroom.
+	if early, extra := d.IntervalEnd(ScalerSignal{Breached: []bool{true, true, true}, Utilization: 0.70}); early || extra != 0 {
+		t.Errorf("breach verdicts leaked into proportional control: early=%v extra=%g", early, extra)
 	}
 }

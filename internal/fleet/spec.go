@@ -233,8 +233,6 @@ type engineConfig struct {
 	fleet     *hw.Fleet
 	table     *profiler.Table
 	service   ServiceSource
-	scaler    Scaler
-	scalerSet bool
 	observers []Observer
 	traceSrc  *TraceSource
 }
@@ -253,12 +251,6 @@ func WithTable(t *profiler.Table) Option { return func(c *engineConfig) { c.tabl
 // WithService overrides the per-query service-time source (default:
 // the process-wide shared SimService over the engine's table).
 func WithService(src ServiceSource) Option { return func(c *engineConfig) { c.service = src } }
-
-// WithScaler overrides the spec's named autoscaler with a constructed
-// one (custom tuning); WithScaler(nil) disables autoscaling.
-func WithScaler(s Scaler) Option {
-	return func(c *engineConfig) { c.scaler, c.scalerSet = s, true }
-}
 
 // WithObserver registers a per-interval stats sink (Observer) on the
 // engine; repeat for several sinks.
@@ -346,9 +338,6 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 	}
 
 	scaler, err := specScaler(spec.Scaler)
-	if cfg.scalerSet {
-		scaler, err = cfg.scaler, nil
-	}
 	if err != nil {
 		return nil, err
 	}

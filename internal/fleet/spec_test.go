@@ -84,9 +84,6 @@ func TestScalerSelectableBySpec(t *testing.T) {
 	if s := mk("none").Scaler; s != nil {
 		t.Error("scaler \"none\" must disable autoscaling")
 	}
-	if _, ok := mk("prop").Scaler.(UtilizationObserver); !ok {
-		t.Error("proportional scaler must observe utilization")
-	}
 }
 
 // TestProportionalScalerReprovisions: under sustained overload the
