@@ -30,8 +30,7 @@
 // the spec file, which defers to fleet.DefaultSpec), and the emitted
 // report embeds the resolved spec so a run can be reproduced with
 // -spec alone. Policies are resolved by name through the fleet policy
-// registries — a router, autoscaler or admission policy registered by
-// any package is selectable here without touching this command.
+// tables, whose names the flag usage strings and errors list.
 //
 // The -table JSON comes from hercules-profile (full Fig. 9b search).
 // Without -table, each (model, server type) pair is quick-calibrated on
@@ -192,7 +191,7 @@ type cliFlags struct {
 
 // registerFlags wires the flag set; every default is read off
 // fleet.DefaultSpec, and the policy flag usage strings list the
-// registered names straight from the registries.
+// names straight from the fleet policy tables.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	def := fleet.DefaultSpec()
 	return &cliFlags{
@@ -659,8 +658,8 @@ func splitModels(s string) []string {
 	return out
 }
 
-// parseRouters validates each router name against the policy registry;
-// an unknown name fails with the registered names listed.
+// parseRouters validates each router name against the router table;
+// an unknown name fails with the known names listed.
 func parseRouters(s string) ([]string, error) {
 	var out []string
 	for _, part := range strings.Split(s, ",") {

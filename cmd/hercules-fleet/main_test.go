@@ -68,7 +68,7 @@ func TestSpecFileFlagsOverride(t *testing.T) {
 }
 
 // TestRouterErrorListsRegistered: a bad -routers value must name every
-// registered router, sourced from the registry.
+// router, sourced from the router table.
 func TestRouterErrorListsRegistered(t *testing.T) {
 	_, err := parseRouters("rr,warp-drive")
 	if err == nil {

@@ -26,11 +26,11 @@ var ScenarioNames = []string{"baseline", "flashcrowd", "regionshift", "failure"}
 // state-aware policies from the Fig. 13-online comparison.
 var ScenarioRouters = []string{fleet.RoundRobin, fleet.PowerOfTwo, fleet.WeightedHetero}
 
-// ScenarioPolicyCells are the registry-selected serving policies the
+// ScenarioPolicyCells are the name-selected serving policies the
 // sweep additionally scores under every scenario (on the p2c router):
 // the target-utilization proportional autoscaler and the
 // deadline-aware admission shedder — the two policies that ship
-// through the policy registry rather than the engine's built-in
+// through the policy tables rather than the engine's built-in
 // defaults.
 var ScenarioPolicyCells = []struct{ Scaler, Admission string }{
 	{Scaler: "prop"},

@@ -20,7 +20,7 @@ func TestFigScenarios(t *testing.T) {
 	if len(r.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), want)
 	}
-	// The registry-shipped policies must appear as sweep rows, labeled
+	// The table-selected policies must appear as sweep rows, labeled
 	// by the names the engine resolved them under.
 	sawProp, sawDeadline := false, false
 	for _, row := range r.Rows {

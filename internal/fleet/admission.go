@@ -11,8 +11,8 @@ import "math"
 // breaches: the whole point of shedding is that a rejected query is
 // cheaper than a query served past its deadline.
 //
-// Admission policies registered by name (RegisterAdmission) are
-// selectable via Spec.Admission; a nil Engine.Admission admits
+// The admission policies in admissionTable are selectable by name via
+// Spec.Admission; a nil Engine.Admission admits
 // everything, which is the default and replays bit-identically to the
 // pre-admission engine.
 type Admission interface {
@@ -45,10 +45,6 @@ type AdmissionSignal struct {
 	GridGPerKWh     float64
 	GridMeanGPerKWh float64
 	DeferrableFrac  float64
-}
-
-func init() {
-	RegisterAdmission("deadline", func() Admission { return NewDeadlineAdmission() })
 }
 
 // DeadlineAdmission is the deadline-aware shedding policy (registered

@@ -5,9 +5,8 @@ import "math"
 // Scaler is the online autoscaling policy the engine consults during a
 // replay. At each trace-interval boundary the engine hands it one
 // ScalerSignal and asks whether to re-provision early and with how much
-// extra over-provision headroom. Scalers registered by name
-// (RegisterScaler) are selectable via Spec.Scaler; a nil Engine.Scaler
-// disables early re-provisioning entirely (scheduled intervals only).
+// extra over-provision headroom. The scalers in scalerTable are
+// selectable by name via Spec.Scaler; a nil Engine.Scaler disables early re-provisioning entirely (scheduled intervals only).
 type Scaler interface {
 	Name() string
 	// IntervalEnd advances the scaler one trace interval on that
@@ -38,11 +37,6 @@ type ScalerSignal struct {
 	// without a grid.
 	NextGridGPerKWh float64
 	GridMeanGPerKWh float64
-}
-
-func init() {
-	RegisterScaler("breach", func() Scaler { return NewAutoscaler() })
-	RegisterScaler("prop", func() Scaler { return NewProportionalScaler() })
 }
 
 // Autoscaler is the breach-driven scaler (registered as "breach"): it

@@ -6,11 +6,6 @@ import (
 	"hercules/internal/grid"
 )
 
-func init() {
-	RegisterScaler("carbon", func() Scaler { return NewCarbonScaler() })
-	RegisterAdmission("carbon", func() Admission { return NewCarbonAdmission() })
-}
-
 // CarbonScaler is the carbon-aware headroom policy (registered as
 // "carbon"): it shapes the over-provision rate to the grid, holding
 // extra headroom through low-carbon hours (capacity is cheap in gCO2

@@ -10,6 +10,8 @@ import (
 
 	"hercules/internal/cluster"
 	"hercules/internal/grid"
+	"hercules/internal/hw"
+	"hercules/internal/power"
 	"hercules/internal/workload"
 )
 
@@ -242,16 +244,14 @@ func (r *sigRecorder) TriggerCount() int {
 	return 0
 }
 
-// TestScalerSignalFeed: once per interval the scaler receives exactly
-// that interval's window verdicts, the fleet's mean utilization, the
-// next interval's forecast intensity (wrapping at the day boundary) and
-// the day mean.
-func TestScalerSignalFeed(t *testing.T) {
-	// Hourly steps give every interval its own hour of the duck curve.
-	// The surge at hours 1-2 outruns the fleet provisioned for hour 0
-	// and breaches (the recorder never re-provisions early), hour 3
-	// offers nothing, and the query budget shortens the busier slices,
-	// so the window count varies by interval.
+// scalerFeedDay replays the scaler-signal day under a recording
+// scaler. Hourly steps give every interval its own hour of the duck
+// curve. The surge at hours 1-2 outruns the fleet provisioned for hour
+// 0 and breaches (the recorder never re-provisions early), hour 3
+// offers nothing, and the query budget shortens the busier slices, so
+// the window count varies by interval.
+func scalerFeedDay(t *testing.T) (DayResult, *sigRecorder, workload.DiurnalTrace, grid.Spec) {
+	t.Helper()
 	tr := workload.DiurnalTrace{Service: "test", StepS: 3600,
 		LoadsQPS: []float64{200, 2400, 2400, 0, 1200, 2400, 800, 200}}
 	opts := testOpts()
@@ -270,6 +270,15 @@ func TestScalerSignalFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, rec, tr, gs
+}
+
+// TestScalerSignalFeed: once per interval the scaler receives exactly
+// that interval's window verdicts, the fleet's mean utilization, the
+// next interval's forecast intensity (wrapping at the day boundary) and
+// the day mean.
+func TestScalerSignalFeed(t *testing.T) {
+	res, rec, tr, gs := scalerFeedDay(t)
 	if len(rec.sigs) != len(res.Steps) {
 		t.Fatalf("IntervalEnd called %d times, want one per interval (%d)", len(rec.sigs), len(res.Steps))
 	}
@@ -314,6 +323,25 @@ func TestScalerSignalFeed(t *testing.T) {
 	if rec.sigs[3].Utilization != rec.sigs[2].Utilization {
 		t.Errorf("the idle hour must repeat the last utilization: %g, want %g",
 			rec.sigs[3].Utilization, rec.sigs[2].Utilization)
+	}
+}
+
+// TestIdleIntervalBillsIdleEnergy: an interval with no offered load
+// still powers its provisioned servers, so it bills each live one its
+// idle draw for the whole interval, and prices that energy in carbon.
+func TestIdleIntervalBillsIdleEnergy(t *testing.T) {
+	res, _, tr, _ := scalerFeedDay(t)
+	st := res.Steps[3]
+	if st.OfferedQPS != 0 || st.ActiveServers != 2 {
+		t.Fatalf("hour 3 must offer nothing on 2 servers: %g QPS, %d servers", st.OfferedQPS, st.ActiveServers)
+	}
+	idleW := hw.ServerType("T2").IdleWatts()
+	if want := float64(st.ActiveServers) * idleW * tr.StepS / 1e3; math.Abs(st.EnergyKJ-want) > 1e-9*want {
+		t.Errorf("idle hour billed %g kJ, want %d servers x %g W x %g s = %g kJ",
+			st.EnergyKJ, st.ActiveServers, idleW, tr.StepS, want)
+	}
+	if want := power.CarbonG(st.EnergyKJ, st.GridGPerKWh); st.CarbonG != want || want <= 0 {
+		t.Errorf("idle hour carbon %g g, want %g g priced on its energy", st.CarbonG, want)
 	}
 }
 

@@ -22,14 +22,13 @@
 //     WithObserver, …) for the process-local pieces a spec cannot
 //     carry. Every CLI, experiment driver and example builds engines
 //     this way, so a run is reproducible from one JSON document;
-//   - the policy registries — RegisterRouter / RegisterScaler /
-//     RegisterAdmission / RegisterGeoPolicy make routing, autoscaling,
-//     admission and geo-routing policies constructible by name (one
-//     generic registry underneath, so all four axes share semantics);
-//     the built-ins (routers rr, least, p2c, hetero; scalers breach,
-//     prop, carbon; admission deadline, carbon; geo local, spill)
-//     register themselves here, and a policy registered by any other
-//     package is immediately selectable by every Spec and CLI flag;
+//   - the policy tables — routing, autoscaling, admission and
+//     geo-routing policies are constructed by name (NewRouter,
+//     NewScaler, NewAdmission, NewGeoPolicy) from four read-only
+//     tables in registry.go, the closed set the paper compares:
+//     routers rr, least, p2c, hetero; scalers breach, prop, carbon;
+//     admission deadline, carbon; geo local, spill. A new policy is a
+//     type plus one table entry in this package;
 //   - Engine / RunDay — replay a day of cluster.Workload traces and
 //     return per-interval and aggregate DayResult metrics;
 //   - Observer — the per-interval streaming hook: RunDay pushes each
@@ -69,7 +68,7 @@
 //   - RegionSpec / NewMultiEngine — a Spec with a regions list becomes
 //     a multi-region fleet: one engine per region (own fleet, diurnal
 //     phase offset, RTT matrix), replayed in lockstep while the
-//     registered GeoPolicy redistributes each interval's offered load.
+//     selected GeoPolicy redistributes each interval's offered load.
 //     The spill policy keeps traffic home until offered load nears
 //     capacity, sheds overflow to the nearest survivor with headroom,
 //     and evacuates blacked-out regions entirely; remotely served
@@ -103,8 +102,8 @@
 // deterministically sampled 1-in-N of the query stream, staged in
 // per-task buffers and drained in model-name order, so every replay of
 // a spec emits a byte-identical trace at any worker count and the
-// DayResult is unchanged traced or untraced. A built-in router's one
-// decision body is TracedRouter.PickTraced; Pick passes it no event.
+// DayResult is unchanged traced or untraced. A router's one decision
+// body is Router.PickTraced; Pick passes it no event.
 // NewMetricsObserver folds the Observer stream into a
 // telemetry.Registry of counters, gauges and sketch-backed histograms;
 // the replay's own tails are always exact, selected from the

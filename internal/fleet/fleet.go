@@ -94,7 +94,7 @@ type Engine struct {
 	Table       *profiler.Table
 	Provisioner *cluster.Provisioner
 	// Router is the registered name of the per-query routing policy;
-	// RunDay resolves it through the registry, once, and instantiates
+	// RunDay resolves it through routerTable, once, and instantiates
 	// a fresh Router per model pool and interval.
 	Router  string
 	Service ServiceSource
@@ -382,11 +382,12 @@ type dayRun struct {
 
 	// The interval in flight between prepareInterval and
 	// finishInterval: its stats so far, scenario effects and their
-	// resolved fleet health, slice length and replay tasks (model-name
-	// order).
+	// resolved fleet health, effective pools (live instances per
+	// model), slice length and replay tasks (model-name order).
 	ist    IntervalStats
 	eff    scenario.Effects
 	health healthMap
+	pools  map[string][]*Instance
 	sliceS float64
 	tasks  []*poolTask
 }
@@ -558,6 +559,7 @@ func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 		r.health = e.fleetHealth(eff)
 	}
 	pools, dead := effectiveInstances(r.insts, r.health)
+	r.pools = pools
 	r.ist = IntervalStats{
 		Index:            i,
 		TimeH:            float64(i) * r.stepS / 3600,
@@ -1194,7 +1196,6 @@ func (w *poolTask) producer() {
 func (w *poolTask) run() {
 	w.openStream()
 	router := w.newRouter()
-	trouter, _ := router.(TracedRouter)
 	rng := stats.NewRand(w.seed)
 	for _, in := range w.insts {
 		in.ResetSlice(w.sliceS)
@@ -1207,7 +1208,7 @@ func (w *poolTask) run() {
 	if w.produce {
 		w.startProducer()
 		for chunk := <-w.full; chunk != nil; chunk = <-w.full {
-			w.route(chunk, router, trouter, rng)
+			w.route(chunk, router, rng)
 			w.free <- chunk[:0]
 		}
 	} else {
@@ -1216,7 +1217,7 @@ func (w *poolTask) run() {
 			buf = w.slot(0)
 		}
 		for !w.drained() {
-			w.route(w.fill(buf), router, trouter, rng)
+			w.route(w.fill(buf), router, rng)
 		}
 	}
 	for _, in := range w.insts {
@@ -1232,7 +1233,7 @@ func (w *poolTask) run() {
 // route replays one chunk of admitted queries. Pools mix batched and
 // unbatched instances (each pair derives its own batch cap from the
 // measured efficiency curve), so the loop branches per pick.
-func (w *poolTask) route(chunk []workload.Query, router Router, trouter TracedRouter, rng *rand.Rand) {
+func (w *poolTask) route(chunk []workload.Query, router Router, rng *rand.Rand) {
 	w.admitted += len(chunk)
 	for _, q := range chunk {
 		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
@@ -1254,14 +1255,7 @@ func (w *poolTask) route(chunk []workload.Query, router Router, trouter TracedRo
 		if sampled {
 			ev = w.trace.Emit(telemetry.KindRoute, q.ID, q.ArrivalS)
 		}
-		var pick int
-		if trouter != nil {
-			pick = trouter.PickTraced(w.insts, q.ArrivalS, rng, ev)
-		} else {
-			pick = router.Pick(w.insts, q.ArrivalS, rng)
-			recordCand(ev, 0, w.insts[pick])
-		}
-		in := w.insts[pick]
+		in := w.insts[router.PickTraced(w.insts, q.ArrivalS, rng, ev)]
 		if ev != nil {
 			ev.Instance = int32(in.ID)
 		}
@@ -1525,6 +1519,8 @@ func (e *Engine) finishInterval() {
 		breached = e.mergeTails(r.tasks)
 		e.sweepEnergy(r.tasks)
 		pprof.SetGoroutineLabels(context.Background())
+	} else {
+		e.sweepIdle()
 	}
 	if e.gridTL != nil {
 		ist.GridGPerKWh = e.gridTL.At(ist.Index)
@@ -1651,13 +1647,7 @@ func (e *Engine) sweepEnergy(tasks []*poolTask) {
 				peak = math.Max(entry.PowerW, idle)
 			}
 			u := in.Utilization(r.sliceS)
-			w := idle + (peak-idle)*u
-			if cw := r.health[in.Type].capW; cw > 0 && w > cw {
-				// The powercap is physical: whatever the workload wants,
-				// the server never draws past its share of the budget.
-				w = cw
-			}
-			watts += w
+			watts += e.cappedWatts(in.Type, idle+(peak-idle)*u)
 			utilSum += u
 			nInsts++
 		}
@@ -1666,6 +1656,35 @@ func (e *Engine) sweepEnergy(tasks []*poolTask) {
 	if nInsts > 0 {
 		e.util = utilSum / float64(nInsts)
 	}
+}
+
+// sweepIdle prices an interval with no offered load: every live
+// instance of the effective pools idles for the whole interval. The
+// scaler's utilization keeps the last interval that had load.
+func (e *Engine) sweepIdle() {
+	r := e.run
+	models := make([]string, 0, len(r.pools))
+	for m := range r.pools {
+		models = append(models, m)
+	}
+	sort.Strings(models)
+	var watts float64
+	for _, m := range models {
+		for _, in := range r.pools[m] {
+			watts += e.cappedWatts(in.Type, e.typeWatts(in.Type).idle)
+		}
+	}
+	r.ist.EnergyKJ = watts * r.stepS / 1e3
+}
+
+// cappedWatts clamps a server's draw to its type's powercap share. The
+// powercap is physical: whatever the workload wants, the server never
+// draws past its share of the budget.
+func (e *Engine) cappedWatts(typ string, w float64) float64 {
+	if cw := e.run.health[typ].capW; cw > 0 && w > cw {
+		return cw
+	}
+	return w
 }
 
 // SliceResult is ReplaySlice's accounting. LatS holds one latency per

@@ -31,8 +31,8 @@ type GeoSignal struct {
 // home load to route to each other region. Route returns a square
 // matrix out[src][dst]: the fraction of src's offered load sent to
 // dst (diagonal entries are ignored; the engine clamps rows to [0, 1]
-// total and keeps the remainder local). Policies are registered by
-// name via RegisterGeoPolicy and selected by Spec.Geo.
+// total and keeps the remainder local). The policies in geoTable are
+// selected by name via Spec.Geo.
 type GeoPolicy interface {
 	Name() string
 	Route(sig GeoSignal) [][]float64
@@ -58,11 +58,6 @@ const (
 	spillTriggerFrac  = 0.9
 	spillHeadroomFrac = 0.85
 )
-
-func init() {
-	RegisterGeoPolicy(GeoLocal, func() GeoPolicy { return localGeo{} })
-	RegisterGeoPolicy(GeoSpill, func() GeoPolicy { return spillGeo{} })
-}
 
 type localGeo struct{}
 

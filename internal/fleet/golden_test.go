@@ -10,7 +10,7 @@ import (
 )
 
 // The golden replays in testdata/ pin the replay bit for bit: one
-// routed pool per model, built through the registry, Spec construction
+// routed pool per model, built through the policy tables, Spec construction
 // and Observer hooks (first recorded by the enum-based RouterKind
 // engine before those existed; re-recorded once when per-model pools
 // stopped being split into core-count shards). A refactor that keeps
@@ -65,8 +65,8 @@ func stripPostRedesign(res DayResult) DayResult {
 	return res
 }
 
-// TestGoldenReplayUnbatched: a registry-constructed engine (Spec →
-// NewEngine → registry router + "breach" scaler) must replay the
+// TestGoldenReplayUnbatched: a spec-constructed engine (Spec →
+// NewEngine → table router + "breach" scaler) must replay the
 // golden day byte-identically.
 func TestGoldenReplayUnbatched(t *testing.T) {
 	want := loadGolden(t, "testdata/golden_day.json")
@@ -74,8 +74,9 @@ func TestGoldenReplayUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDayInvariants(t, got)
 	if !reflect.DeepEqual(stripPostRedesign(got), want) {
-		t.Error("registry-built engine diverged from the golden replay")
+		t.Error("spec-built engine diverged from the golden replay")
 	}
 }
 
@@ -92,8 +93,9 @@ func TestGoldenReplayBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDayInvariants(t, got)
 	if !reflect.DeepEqual(stripPostRedesign(got), want) {
-		t.Error("batched registry-built engine diverged from the golden replay")
+		t.Error("batched spec-built engine diverged from the golden replay")
 	}
 }
 

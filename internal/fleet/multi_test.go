@@ -54,6 +54,7 @@ func runRegions(t *testing.T, geo string) DayResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDayInvariants(t, res)
 	return res
 }
 
@@ -136,6 +137,7 @@ func TestMultiEngineSingleRegionDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDayInvariants(t, res)
 	if len(res.Regions) != 1 {
 		t.Fatalf("single-region result carries %d regions, want 1", len(res.Regions))
 	}

@@ -33,16 +33,8 @@ const (
 )
 
 // AllRouters lists the built-in routing policies in presentation
-// order. RouterNames() is the full registry (sorted), including any
-// policies registered outside this package.
+// order; RouterNames() lists the same set sorted.
 var AllRouters = []string{RoundRobin, LeastOutstanding, PowerOfTwo, WeightedHetero}
-
-func init() {
-	RegisterRouter(RoundRobin, func() Router { return &roundRobin{} })
-	RegisterRouter(LeastOutstanding, func() Router { return leastOutstanding{} })
-	RegisterRouter(PowerOfTwo, func() Router { return powerOfTwo{} })
-	RegisterRouter(WeightedHetero, func() Router { return weightedHetero{} })
-}
 
 // routerAliases maps accepted long spellings to registered names.
 var routerAliases = map[string]string{
@@ -57,7 +49,7 @@ var routerAliases = map[string]string{
 }
 
 // ParseRouter normalizes a router name (case, whitespace, the long
-// aliases of the built-ins) and validates it against the registry,
+// aliases of the built-ins) and validates it against routerTable,
 // returning the canonical registered name. The error on an unknown
 // name lists every registered router.
 func ParseRouter(s string) (string, error) {
@@ -74,30 +66,22 @@ func ParseRouter(s string) (string, error) {
 // Router picks a destination among a model's instances for each query.
 // Implementations may keep per-pool state (e.g. a round-robin cursor)
 // and are not safe for concurrent use: the engine instantiates a fresh
-// Router per pool replay through the registered factory.
+// Router per pool replay through its routerTable factory.
+//
+// Each router keeps its decision in PickTraced alone, and its Pick is
+// PickTraced with a nil event. The engine routes every query through
+// PickTraced, passing an event only for queries in the trace sample, so
+// recording costs one nil test on the untraced path. A traced replay is
+// byte-identical to an untraced one because candidate recording reads
+// only instance IDs; TestTracedRoutersMatchUntraced pins this per
+// router.
 type Router interface {
 	Name() string
 	// Pick returns the index of the chosen instance. The slice is
 	// non-empty and all instances serve the query's model.
 	Pick(insts []*Instance, now float64, rng *rand.Rand) int
-}
-
-// TracedRouter is the optional tracing extension of Router: PickTraced
-// makes the decision Pick makes while filling the route event's
-// candidate fields (Cand, NCand) when ev is non-nil. The engine routes
-// every query through it, passing an event only for queries in the
-// trace sample, so recording costs one nil test on the untraced path;
-// routers that do not implement it still trace, with only the chosen
-// instance recorded as a candidate.
-//
-// Each built-in router keeps its decision in PickTraced alone, and its
-// Pick is PickTraced with a nil event. A traced replay is
-// byte-identical to an untraced one because candidate recording reads
-// only instance IDs; TestTracedRoutersMatchUntraced pins this per
-// router.
-type TracedRouter interface {
-	Router
-	// PickTraced is Pick plus candidate recording into ev (nil records
+	// PickTraced is Pick plus recording the inspected candidates into
+	// the route event's Cand and NCand fields (a nil ev records
 	// nothing).
 	PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int
 }
@@ -138,7 +122,7 @@ func (r *roundRobin) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
 	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter: round robin considers exactly
+// PickTraced implements Router: round robin considers exactly
 // the instance the cursor lands on.
 func (r *roundRobin) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	i := r.next % len(insts)
@@ -155,7 +139,7 @@ func (r leastOutstanding) Pick(insts []*Instance, now float64, rng *rand.Rand) i
 	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter. Candidate recording reads only
+// PickTraced implements Router. Candidate recording reads only
 // instance IDs, so the Outstanding scan happens exactly as untraced.
 // Most probes hit Outstanding's cached fast path, a compare and a
 // load; only an instance whose next completion or batch launch is
@@ -181,7 +165,7 @@ func (r powerOfTwo) Pick(insts []*Instance, now float64, rng *rand.Rand) int {
 	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter: two RNG draws, both sampled
+// PickTraced implements Router: two RNG draws, both sampled
 // candidates recorded, and Outstanding inspected j before i.
 func (powerOfTwo) PickTraced(insts []*Instance, now float64, rng *rand.Rand, ev *telemetry.Event) int {
 	n := len(insts)
@@ -210,7 +194,7 @@ func (r weightedHetero) Pick(insts []*Instance, now float64, rng *rand.Rand) int
 	return r.PickTraced(insts, now, rng, nil)
 }
 
-// PickTraced implements TracedRouter. Like leastOutstanding's scan,
+// PickTraced implements Router. Like leastOutstanding's scan,
 // it probes each instance through the cached fast path (see
 // heteroLoad), so the scan is a compare and a load per instance until
 // something is due.

@@ -298,7 +298,7 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		spec.Fleet = spec.Regions[0].Fleet
 	}
 	if spec.Geo != "" {
-		if _, err := geos.lookup(spec.Geo); err != nil {
+		if _, err := lookup(geoTable, "geo policy", spec.Geo); err != nil {
 			return nil, err
 		}
 	}

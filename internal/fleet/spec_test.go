@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,5 +270,31 @@ func TestLegacyShardOptionsDecode(t *testing.T) {
 	}
 	if want.TotalQueries == 0 {
 		t.Fatal("replay served nothing")
+	}
+}
+
+// TestCommittedSpecsDecodeStrictly: every spec this repo ships under
+// testdata/ decodes with unknown fields disallowed, so a key a refactor
+// removed from Spec fails here by name instead of being silently
+// dropped by the CLI's lenient decode.
+func TestCommittedSpecsDecodeStrictly(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed specs found")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var s Spec
+		if err := dec.Decode(&s); err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
+		}
 	}
 }

@@ -140,7 +140,7 @@ func TestTracedBatchedReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracedRoutersMatchUntraced: for every registered router,
+// TestTracedRoutersMatchUntraced: for every router in routerTable,
 // PickTraced must make the identical decision sequence Pick makes —
 // same picks, same RNG draws, same instance-state evolution — while
 // filling in the routing event. Two mirrored simulations with shared
@@ -151,13 +151,9 @@ func TestTracedRoutersMatchUntraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tracedR, err := NewRouter(kind)
+		tr, err := NewRouter(kind)
 		if err != nil {
 			t.Fatal(err)
-		}
-		tr, ok := tracedR.(TracedRouter)
-		if !ok {
-			t.Fatalf("%s does not implement TracedRouter", kind)
 		}
 		instsA := constInstances(5, "T2", 0.008, 100, 16)
 		instsB := constInstances(5, "T2", 0.008, 100, 16)

@@ -91,6 +91,7 @@ func checkWorkerInvariance(t *testing.T, day func() (DayResult, []byte)) {
 		if got.TotalQueries == 0 {
 			t.Fatalf("GOMAXPROCS=%d: replay served nothing", procs)
 		}
+		checkDayInvariants(t, got)
 		if wantTrace == nil {
 			want, wantTrace = got, trace
 			continue

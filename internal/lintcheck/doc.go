@@ -20,9 +20,9 @@
 //     writes an exported result field, or emits output/telemetry,
 //     unless a deterministic sort follows in the same block.
 //   - registryuse: policy implementations (Router / Scaler /
-//     Admission / GeoPolicy) are resolved through the fleet registry,
-//     never constructed directly outside their own package; Register*
-//     calls are top-level with string-literal names.
+//     Admission / GeoPolicy) are resolved by name through the fleet
+//     policy tables, never constructed directly outside their own
+//     package.
 //   - obscontract: Observer implementations neither spawn goroutines
 //     nor retain the per-interval snapshot past the callback.
 //

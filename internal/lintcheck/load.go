@@ -19,7 +19,7 @@ import (
 
 // Package is one parsed, type-checked package ready for analysis.
 // Only the package's non-test GoFiles are loaded: the determinism and
-// registry contracts bind production code; tests are exempt (they pin
+// policy-table contracts bind production code; tests are exempt (they pin
 // the contracts dynamically and may construct policies directly).
 type Package struct {
 	ImportPath string

@@ -2,40 +2,28 @@ package lintcheck
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
-// RegistryuseAnalyzer enforces the policy-registry contract from the
-// PR 5/8 API redesign: Router, Scaler, Admission and GeoPolicy
-// implementations are reached through the generic registry[T] —
-// constructed by registered name, never instantiated directly outside
-// the package that defines them (tests are exempt; the loader skips
-// test files). Register* calls must be top-level (init or package
-// var initializer) with string-literal names, so the registered set is
-// statically known to specs, CLIs and sweeps.
+// RegistryuseAnalyzer enforces the policy-table contract: Router,
+// Scaler, Admission and GeoPolicy implementations are reached through
+// the fleet package's name tables (fleet.NewRouter and its siblings,
+// or a Spec), never instantiated directly outside the package that
+// defines them (tests are exempt; the loader skips test files).
 var RegistryuseAnalyzer = &Analyzer{
 	Name: "registryuse",
-	Doc: "policy implementations must be resolved through the fleet registry, not constructed " +
-		"directly outside their own package; Register* calls must be top-level with literal names",
+	Doc: "policy implementations must be resolved by name through the fleet policy tables, " +
+		"not constructed directly outside their own package",
 	Run: runRegistryuse,
 }
 
 // fleetPkgPath is the package owning the policy interfaces and the
-// registry (the analysistest fixtures stub it under the same import
+// policy tables (the analysistest fixtures stub it under the same import
 // path).
 const fleetPkgPath = "hercules/internal/fleet"
 
-// policyInterfaceNames are the four registered policy axes.
+// policyInterfaceNames are the four policy axes.
 var policyInterfaceNames = []string{"Router", "Scaler", "Admission", "GeoPolicy"}
-
-// registerFuncNames are the registry installation entry points.
-var registerFuncNames = map[string]bool{
-	"RegisterRouter":    true,
-	"RegisterScaler":    true,
-	"RegisterAdmission": true,
-	"RegisterGeoPolicy": true,
-}
 
 // fleetPackage returns the fleet package visible to this pass: the
 // package itself when analyzing fleet, otherwise the direct import.
@@ -74,7 +62,7 @@ func runRegistryuse(pass *Pass) error {
 	}
 	ifaces := policyInterfaces(fleet)
 	for _, f := range pass.Files {
-		inspectStack(f, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CompositeLit:
 				if pass.Pkg == fleet {
@@ -82,11 +70,10 @@ func runRegistryuse(pass *Pass) error {
 				}
 				if axis, typ := policyType(pass, ifaces, pass.TypesInfo.TypeOf(x)); axis != "" {
 					pass.Reportf(x.Pos(),
-						"%s implementation %s constructed directly outside %s; resolve it through the registry (fleet.New%s / Spec)",
+						"%s implementation %s constructed directly outside %s; resolve it by name (fleet.New%s / Spec)",
 						axis, typ, typ.Obj().Pkg().Path(), axis)
 				}
 			case *ast.CallExpr:
-				checkRegisterCall(pass, fleet, x, stack)
 				if pass.Pkg == fleet {
 					return true
 				}
@@ -98,7 +85,7 @@ func runRegistryuse(pass *Pass) error {
 				}
 				if axis, typ := policyType(pass, ifaces, singleResult(pass, x)); axis != "" {
 					pass.Reportf(x.Pos(),
-						"call returns concrete %s implementation %s outside %s; resolve it through the registry (fleet.New%s / Spec)",
+						"call returns concrete %s implementation %s outside %s; resolve it by name (fleet.New%s / Spec)",
 						axis, typ, typ.Obj().Pkg().Path(), axis)
 				}
 			}
@@ -128,7 +115,7 @@ func policyType(pass *Pass, ifaces map[string]*types.Interface, t types.Type) (s
 		return "", nil
 	}
 	if _, isIface := named.Underlying().(*types.Interface); isIface {
-		return "", nil // registry lookups return interfaces: fine
+		return "", nil // table lookups return interfaces: fine
 	}
 	for _, axis := range policyInterfaceNames {
 		iface := ifaces[axis]
@@ -140,46 +127,4 @@ func policyType(pass *Pass, ifaces map[string]*types.Interface, t types.Type) (s
 		}
 	}
 	return "", nil
-}
-
-// checkRegisterCall enforces that Register* runs at package init with
-// a string-literal name.
-func checkRegisterCall(pass *Pass, fleet *types.Package, call *ast.CallExpr, stack []ast.Node) {
-	fn := calleeFunc(pass, call)
-	if fn == nil || fn.Pkg() != fleet || !registerFuncNames[fn.Name()] {
-		return
-	}
-	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return
-	}
-	topLevel := true
-	where := ""
-	for _, anc := range stack {
-		switch d := anc.(type) {
-		case *ast.FuncLit:
-			topLevel = false
-			where = "a function literal"
-		case *ast.FuncDecl:
-			if d.Recv != nil || d.Name.Name != "init" {
-				topLevel = false
-				where = "function " + d.Name.Name
-			}
-		}
-	}
-	if !topLevel {
-		pass.Reportf(call.Pos(),
-			"%s called from %s; registrations must be top-level (init or package var) so the registered set is statically known",
-			fn.Name(), where)
-	}
-	if len(call.Args) >= 1 {
-		// A string literal or a string constant (the built-ins register
-		// under exported consts like fleet.RoundRobin) keeps the
-		// registered set statically known; anything computed does not.
-		tv, ok := pass.TypesInfo.Types[call.Args[0]]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			pass.Reportf(call.Args[0].Pos(),
-				"%s name must be a string literal or constant so the registered set is statically known",
-				fn.Name())
-		}
-	}
 }

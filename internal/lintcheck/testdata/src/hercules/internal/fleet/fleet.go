@@ -1,9 +1,9 @@
 // Package fleet is the fixture stub of hercules/internal/fleet: just
-// enough of the policy/registry/observer surface for the registryuse
+// enough of the policy/observer surface for the registryuse
 // and obscontract fixtures to type-check against the real import path.
 package fleet
 
-// The four registered policy axes.
+// The four policy axes.
 
 type Router interface{ Pick(n int) int }
 
@@ -47,25 +47,9 @@ func (r *rrRouter) Pick(n int) int {
 	return r.next
 }
 
-// RegisterRouter installs a router constructor under name.
-func RegisterRouter(name string, ctor func() Router) {}
-
-// RegisterScaler installs a scaler constructor under name.
-func RegisterScaler(name string, ctor func() Scaler) {}
-
-// RegisterAdmission installs an admission constructor under name.
-func RegisterAdmission(name string, ctor func() Admission) {}
-
-// RegisterGeoPolicy installs a geo policy constructor under name.
-func RegisterGeoPolicy(name string, ctor func() GeoPolicy) {}
-
-// NewRouter resolves a registered router by name.
+// NewRouter resolves a router by name.
 func NewRouter(name string) (Router, error) { return &rrRouter{}, nil }
 
 // NewStatic builds the concrete type directly — legal here (its own
-// package), a registry bypass anywhere else.
+// package), a policy-table bypass anywhere else.
 func NewStatic(fixed int) StaticRouter { return StaticRouter{Fixed: fixed} }
-
-func init() {
-	RegisterRouter(RoundRobin, func() Router { return &rrRouter{} })
-}

@@ -1,28 +1,12 @@
-// Package registryuse is the policy-registry fixture: policies are
-// reached through the fleet registry, never constructed directly, and
-// Register* calls stay top-level with statically-known names.
+// Package registryuse is the policy-table fixture: policies are
+// reached by name through the fleet policy tables, never constructed
+// directly.
 package registryuse
 
 import "hercules/internal/fleet"
 
-const customName = "custom"
-
-func init() {
-	fleet.RegisterRouter("literal", nil)                          // literal name at init: legal
-	fleet.RegisterRouter(customName, nil)                         // constant name at init: legal
-	fleet.RegisterRouter(fleet.RoundRobin, nil)                   // imported constant: legal
-	fleet.RegisterRouter(pickName(), nil)                         // want "name must be a string literal or constant"
-	fleet.RegisterScaler("s", func() fleet.Scaler { return nil }) // ctor literal: legal
-}
-
-func pickName() string { return "computed" }
-
-func registerLate() {
-	fleet.RegisterRouter("late", nil) // want "RegisterRouter called from function registerLate"
-}
-
-func viaRegistry() (fleet.Router, error) {
-	return fleet.NewRouter(fleet.RoundRobin) // registry lookup returns the interface: legal
+func viaTable() (fleet.Router, error) {
+	return fleet.NewRouter(fleet.RoundRobin) // table lookup returns the interface: legal
 }
 
 func direct() fleet.Router {

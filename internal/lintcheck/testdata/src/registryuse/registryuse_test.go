@@ -1,4 +1,4 @@
-// Test files are exempt from the registry contract: the loader feeds
+// Test files are exempt from the policy-table contract: the loader feeds
 // analyzers only non-test GoFiles, so a test may construct policies
 // directly. Nothing in this file produces a finding.
 package registryuse
