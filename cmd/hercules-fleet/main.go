@@ -118,7 +118,6 @@ import (
 	"hercules/internal/fleet"
 	"hercules/internal/grid"
 	"hercules/internal/hw"
-	"hercules/internal/model"
 	"hercules/internal/profiler"
 	"hercules/internal/scenario"
 	"hercules/internal/telemetry"
@@ -148,45 +147,38 @@ type report struct {
 // fleet.DefaultSpec() so the CLI can never drift from the library
 // defaults (TestFlagDefaultsMatchDefaultSpec pins this).
 type cliFlags struct {
-	spec      *string
-	table     *string
-	models    *string
-	fleetName *string
-	routers   *string
-	policies  *string
-	scaler    *string
-	admission *string
-	geo       *string
-	scen      *string
-	gridArg   *string
-	listScen  *bool
-	trace     *string
-	record    *string
-	cacheHit  *float64
-	cacheLat  *float64
-	cacheFill *float64
-	cacheCold *bool
-	days      *int
-	stepMin   *float64
-	peak      *float64
-	headroom  *float64
-	queue     *int
-	slice     *float64
-	window    *float64
-	maxQ      *int
-	batch     *int
-	batchWait *float64
-	seed      *int64
-	ndjson    *bool
-	summary   *bool
-	pretty    *bool
+	spec     *string
+	table    *string
+	routers  *string
+	policies *string
+	gridArg  *string
+	listScen *bool
+	record   *string
+	ndjson   *bool
+	summary  *bool
+	pretty   *bool
 
 	traceOut    *string
 	traceChrome *string
-	traceSample *int
 	metricsOut  *string
 	pprofAddr   *string
 	cpuProfile  *string
+
+	// overlays maps every spec-field flag to the function that copies
+	// its parsed value into a spec; specFlag declares both at once.
+	// -routers/-policies are the sweep axes, applied in main, and -grid
+	// resolves in buildSpec because parsing it can fail.
+	overlays map[string]func(*fleet.Spec)
+}
+
+// specFlag declares one spec-field flag: define registers it (a
+// FlagSet's typed Var method), and set copies its parsed value into
+// the spec field it overrides.
+func specFlag[T any](overlays map[string]func(*fleet.Spec), define func(*T, string, T, string),
+	name string, value T, usage string, set func(*fleet.Spec, T)) {
+	p := new(T)
+	define(p, name, value, usage)
+	overlays[name] = func(s *fleet.Spec) { set(s, *p) }
 }
 
 // registerFlags wires the flag set; every default is read off
@@ -194,67 +186,94 @@ type cliFlags struct {
 // names straight from the fleet policy tables.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	def := fleet.DefaultSpec()
-	return &cliFlags{
-		spec:      fs.String("spec", "", "run-spec JSON file (fleet.Spec); other flags override its fields"),
-		table:     fs.String("table", "", "efficiency-table JSON from hercules-profile (default: quick calibration)"),
-		models:    fs.String("models", strings.Join(def.Models, ","), "workload models"),
-		fleetName: fs.String("fleet", def.Fleet, "fleet: "+strings.Join(hw.FleetNames, ", ")),
+	cf := &cliFlags{
+		spec:  fs.String("spec", "", "run-spec JSON file (fleet.Spec); other flags override its fields"),
+		table: fs.String("table", "", "efficiency-table JSON from hercules-profile (default: quick calibration)"),
 		routers: fs.String("routers", strings.Join(fleet.AllRouters, ","),
 			"routing policies to replay (registered: "+strings.Join(fleet.RouterNames(), ", ")+")"),
 		policies: fs.String("policies", "greedy,hercules",
 			"provisioning policies to replay ("+strings.Join(cluster.PolicyNames, ", ")+")"),
-		scaler: fs.String("scaler", def.Scaler,
-			"online autoscaler: none or a registered name ("+strings.Join(fleet.ScalerNames(), ", ")+")"),
-		admission: fs.String("admission", def.Admission,
-			"admission shedding: none or a registered name ("+strings.Join(fleet.AdmissionNames(), ", ")+")"),
-		geo: fs.String("geo", def.Geo,
-			"geo-routing policy for a multi-region spec ("+strings.Join(fleet.GeoPolicyNames(), ", ")+"; empty = local)"),
-		scen: fs.String("scenario", def.Scenario,
-			"non-stationary scenario: a built-in name, @spec.json, or an inline JSON event array"),
 		gridArg: fs.String("grid", "",
 			"grid carbon-intensity timeline: a preset ("+strings.Join(grid.Presets(), ", ")+"), @spec.json, or inline JSON (empty = no carbon accounting)"),
 		listScen: fs.Bool("list-scenarios", false, "list the built-in scenarios and exit"),
-		trace: fs.String("trace", def.Trace,
-			"replay recorded arrivals from this NDJSON trace instead of synthesizing load (see -record)"),
 		record: fs.String("record", "",
 			"record the run's arrival trace as NDJSON to this file (- = stdout); forces -trace-sample 1 and a single router x policy run"),
-		cacheHit: fs.Float64("cache-hit", def.Cache.HitRate,
-			"cache tier: asymptotic hit rate in [0,1) (0 = no cache tier)"),
-		cacheLat: fs.Float64("cache-latency", def.Cache.LatencyMS,
-			"cache tier: hit latency in milliseconds (0 = 0.3)"),
-		cacheFill: fs.Float64("cache-fill", def.Cache.FillQueries,
-			"cache tier: misses to refill an empty cache to ~63% warmth (0 = 2000)"),
-		cacheCold: fs.Bool("cache-cold", def.Cache.ColdStart,
-			"cache tier: start the day with cold caches (warmth 0) instead of warm"),
-		days:      fs.Int("days", def.Days, "days of diurnal load"),
-		stepMin:   fs.Float64("step-min", def.StepMin, "trace interval in minutes (>= 24 intervals per day at 60)"),
-		peak:      fs.Float64("peak", def.PeakQPS, "per-workload peak QPS (0 = auto-size to fleet)"),
-		headroom:  fs.Float64("headroom", def.HeadroomR, "provisioning over-provision rate R"),
-		queue:     fs.Int("queue", def.Options.QueueCap, "per-server bounded queue slots"),
-		slice:     fs.Float64("slice", def.Options.SliceS, "sampled traffic slice per interval (seconds)"),
-		window:    fs.Float64("window", def.Options.WindowS, "tail observation window (seconds)"),
-		maxQ:      fs.Int("max-queries", def.Options.MaxQueriesPerInterval, "replayed-query budget per interval"),
-		batch:     fs.Int("batch", def.Options.MaxBatch, "dynamic batching: max queries coalesced per dispatch (1 = off)"),
-		batchWait: fs.Float64("batch-wait", def.Options.BatchWaitS*1e3, "max batch-formation wait in milliseconds"),
-		seed:      fs.Int64("seed", def.Options.Seed, "deterministic seed"),
-		ndjson:    fs.Bool("ndjson", false, "stream per-interval stats as JSON lines while replaying"),
-		summary:   fs.Bool("summary", false, "omit per-interval series from the JSON"),
-		pretty:    fs.Bool("pretty", false, "indent the JSON output"),
+		ndjson:  fs.Bool("ndjson", false, "stream per-interval stats as JSON lines while replaying"),
+		summary: fs.Bool("summary", false, "omit per-interval series from the JSON"),
+		pretty:  fs.Bool("pretty", false, "indent the JSON output"),
 
 		traceOut:    fs.String("trace-out", "", "write sampled per-query trace as NDJSON to this file (- = stdout)"),
 		traceChrome: fs.String("trace-chrome", "", "write sampled per-query trace as Chrome trace-event JSON (Perfetto)"),
-		traceSample: fs.Int("trace-sample", def.Options.TraceSample,
-			"trace 1 in N queries (0 = off; defaults to 1024 when a trace output is set)"),
-		metricsOut: fs.String("metrics-out", "", "write a JSON snapshot of the telemetry metrics registry (- = stdout)"),
-		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
-		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile of the run, calibration included, to this file"),
+		metricsOut:  fs.String("metrics-out", "", "write a JSON snapshot of the telemetry metrics registry (- = stdout)"),
+		pprofAddr:   fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)"),
+		cpuProfile:  fs.String("cpuprofile", "", "write a CPU profile of the run, calibration included, to this file"),
+
+		overlays: make(map[string]func(*fleet.Spec)),
 	}
+	ov := cf.overlays
+	specFlag(ov, fs.StringVar, "models", strings.Join(def.Models, ","), "workload models",
+		func(s *fleet.Spec, v string) { s.Models = splitModels(v) })
+	specFlag(ov, fs.StringVar, "fleet", def.Fleet, "fleet: "+strings.Join(hw.FleetNames, ", "),
+		func(s *fleet.Spec, v string) { s.Fleet = v })
+	specFlag(ov, fs.StringVar, "scaler", def.Scaler,
+		"online autoscaler: none or a registered name ("+strings.Join(fleet.ScalerNames(), ", ")+")",
+		func(s *fleet.Spec, v string) { s.Scaler = v })
+	specFlag(ov, fs.StringVar, "admission", def.Admission,
+		"admission shedding: none or a registered name ("+strings.Join(fleet.AdmissionNames(), ", ")+")",
+		func(s *fleet.Spec, v string) { s.Admission = v })
+	specFlag(ov, fs.StringVar, "geo", def.Geo,
+		"geo-routing policy for a multi-region spec ("+strings.Join(fleet.GeoPolicyNames(), ", ")+"; empty = local)",
+		func(s *fleet.Spec, v string) { s.Geo = v })
+	specFlag(ov, fs.StringVar, "scenario", def.Scenario,
+		"non-stationary scenario: a built-in name, @spec.json, or an inline JSON event array",
+		func(s *fleet.Spec, v string) { s.Scenario = v })
+	specFlag(ov, fs.StringVar, "trace", def.Trace,
+		"replay recorded arrivals from this NDJSON trace instead of synthesizing load (see -record)",
+		func(s *fleet.Spec, v string) { s.Trace = v })
+	specFlag(ov, fs.Float64Var, "cache-hit", def.Cache.HitRate,
+		"cache tier: asymptotic hit rate in [0,1) (0 = no cache tier)",
+		func(s *fleet.Spec, v float64) { s.Cache.HitRate = v })
+	specFlag(ov, fs.Float64Var, "cache-latency", def.Cache.LatencyMS,
+		"cache tier: hit latency in milliseconds (0 = 0.3)",
+		func(s *fleet.Spec, v float64) { s.Cache.LatencyMS = v })
+	specFlag(ov, fs.Float64Var, "cache-fill", def.Cache.FillQueries,
+		"cache tier: misses to refill an empty cache to ~63% warmth (0 = 2000)",
+		func(s *fleet.Spec, v float64) { s.Cache.FillQueries = v })
+	specFlag(ov, fs.BoolVar, "cache-cold", def.Cache.ColdStart,
+		"cache tier: start the day with cold caches (warmth 0) instead of warm",
+		func(s *fleet.Spec, v bool) { s.Cache.ColdStart = v })
+	specFlag(ov, fs.IntVar, "days", def.Days, "days of diurnal load",
+		func(s *fleet.Spec, v int) { s.Days = v })
+	specFlag(ov, fs.Float64Var, "step-min", def.StepMin, "trace interval in minutes (>= 24 intervals per day at 60)",
+		func(s *fleet.Spec, v float64) { s.StepMin = v })
+	specFlag(ov, fs.Float64Var, "peak", def.PeakQPS, "per-workload peak QPS (0 = auto-size to fleet)",
+		func(s *fleet.Spec, v float64) { s.PeakQPS = v })
+	specFlag(ov, fs.Float64Var, "headroom", def.HeadroomR, "provisioning over-provision rate R",
+		func(s *fleet.Spec, v float64) { s.HeadroomR = v })
+	specFlag(ov, fs.IntVar, "queue", def.Options.QueueCap, "per-server bounded queue slots",
+		func(s *fleet.Spec, v int) { s.Options.QueueCap = v })
+	specFlag(ov, fs.Float64Var, "slice", def.Options.SliceS, "sampled traffic slice per interval (seconds)",
+		func(s *fleet.Spec, v float64) { s.Options.SliceS = v })
+	specFlag(ov, fs.Float64Var, "window", def.Options.WindowS, "tail observation window (seconds)",
+		func(s *fleet.Spec, v float64) { s.Options.WindowS = v })
+	specFlag(ov, fs.IntVar, "max-queries", def.Options.MaxQueriesPerInterval, "replayed-query budget per interval",
+		func(s *fleet.Spec, v int) { s.Options.MaxQueriesPerInterval = v })
+	specFlag(ov, fs.IntVar, "batch", def.Options.MaxBatch, "dynamic batching: max queries coalesced per dispatch (1 = off)",
+		func(s *fleet.Spec, v int) { s.Options.MaxBatch = v })
+	specFlag(ov, fs.Float64Var, "batch-wait", def.Options.BatchWaitS*1e3, "max batch-formation wait in milliseconds",
+		func(s *fleet.Spec, v float64) { s.Options.BatchWaitS = v / 1e3 })
+	specFlag(ov, fs.Int64Var, "seed", def.Options.Seed, "deterministic seed",
+		func(s *fleet.Spec, v int64) { s.Options.Seed = v })
+	specFlag(ov, fs.IntVar, "trace-sample", def.Options.TraceSample,
+		"trace 1 in N queries (0 = off; defaults to 1024 when a trace output is set)",
+		func(s *fleet.Spec, v int) { s.Options.TraceSample = v })
+	return cf
 }
 
 // buildSpec resolves the run's base spec: the -spec file (or
-// DefaultSpec) overlaid with every flag the user explicitly set.
-// Flag defaults are themselves DefaultSpec values, so with no spec
-// file the overlay of unset flags is the identity.
+// DefaultSpec) overlaid with every flag the user explicitly set. Flag
+// defaults are themselves DefaultSpec values, so an unset flag would
+// overlay nothing new.
 func buildSpec(cf *cliFlags, fs *flag.FlagSet) (fleet.Spec, error) {
 	spec := fleet.DefaultSpec()
 	if *cf.spec != "" {
@@ -266,53 +285,17 @@ func buildSpec(cf *cliFlags, fs *flag.FlagSet) (fleet.Spec, error) {
 			return spec, fmt.Errorf("%s: %w", *cf.spec, err)
 		}
 	}
-	// One overlay per flag; a field missing here is a field the CLI
-	// cannot override, so keep the table in sync with cliFlags.
-	// -routers/-policies are the sweep axes, applied in main.
-	overlays := map[string]func(*fleet.Spec){
-		"models":        func(s *fleet.Spec) { s.Models = splitModels(*cf.models) },
-		"fleet":         func(s *fleet.Spec) { s.Fleet = *cf.fleetName },
-		"scaler":        func(s *fleet.Spec) { s.Scaler = *cf.scaler },
-		"admission":     func(s *fleet.Spec) { s.Admission = *cf.admission },
-		"geo":           func(s *fleet.Spec) { s.Geo = *cf.geo },
-		"scenario":      func(s *fleet.Spec) { s.Scenario = *cf.scen },
-		"trace":         func(s *fleet.Spec) { s.Trace = *cf.trace },
-		"cache-hit":     func(s *fleet.Spec) { s.Cache.HitRate = *cf.cacheHit },
-		"cache-latency": func(s *fleet.Spec) { s.Cache.LatencyMS = *cf.cacheLat },
-		"cache-fill":    func(s *fleet.Spec) { s.Cache.FillQueries = *cf.cacheFill },
-		"cache-cold":    func(s *fleet.Spec) { s.Cache.ColdStart = *cf.cacheCold },
-		"days":          func(s *fleet.Spec) { s.Days = *cf.days },
-		"step-min":      func(s *fleet.Spec) { s.StepMin = *cf.stepMin },
-		"peak":          func(s *fleet.Spec) { s.PeakQPS = *cf.peak },
-		"headroom":      func(s *fleet.Spec) { s.HeadroomR = *cf.headroom },
-		"queue":         func(s *fleet.Spec) { s.Options.QueueCap = *cf.queue },
-		"slice":         func(s *fleet.Spec) { s.Options.SliceS = *cf.slice },
-		"window":        func(s *fleet.Spec) { s.Options.WindowS = *cf.window },
-		"max-queries":   func(s *fleet.Spec) { s.Options.MaxQueriesPerInterval = *cf.maxQ },
-		"batch":         func(s *fleet.Spec) { s.Options.MaxBatch = *cf.batch },
-		"batch-wait":    func(s *fleet.Spec) { s.Options.BatchWaitS = *cf.batchWait / 1e3 },
-		"seed":          func(s *fleet.Spec) { s.Options.Seed = *cf.seed },
-		"trace-sample":  func(s *fleet.Spec) { s.Options.TraceSample = *cf.traceSample },
-	}
-	// -grid resolves through grid.Parse (preset name, @file, or inline
-	// JSON) and so lives outside the overlays table: parsing can fail.
-	// The flag wins over a spec file's grid when explicitly set, and an
-	// explicit -grid "" clears it (grid.Parse of "" is the zero spec).
-	if *cf.spec == "" || flagWasSet(fs, "grid") {
+	// An explicit -grid wins over a spec file's grid, and -grid ""
+	// clears it (grid.Parse of "" is the zero spec).
+	if flagWasSet(fs, "grid") {
 		g, err := grid.Parse(*cf.gridArg)
 		if err != nil {
 			return spec, err
 		}
 		spec.Grid = g
 	}
-	if *cf.spec == "" {
-		for _, apply := range overlays {
-			apply(&spec)
-		}
-		return spec, nil
-	}
 	fs.Visit(func(f *flag.Flag) {
-		if apply, ok := overlays[f.Name]; ok {
+		if apply, ok := cf.overlays[f.Name]; ok {
 			apply(&spec)
 		}
 	})
@@ -453,7 +436,7 @@ func main() {
 		}
 		stopProfile = stop
 	}
-	table, err := loadOrCalibrateTable(*cf.table, spec, spec.Options.Seed)
+	table, err := loadOrCalibrateTable(*cf.table, spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -684,52 +667,22 @@ func parsePolicies(s string) ([]string, error) {
 	return out, nil
 }
 
-func loadOrCalibrateTable(path string, spec fleet.Spec, seed int64) (*profiler.Table, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var entries []profiler.Entry
-		if err := json.Unmarshal(data, &entries); err != nil {
-			return nil, err
-		}
-		return profiler.FromEntries(profiler.Hercules, entries), nil
+// loadOrCalibrateTable reads the -table file, or without one
+// quick-calibrates the spec's pairs (fleet.CalibrateSpec).
+func loadOrCalibrateTable(path string, spec fleet.Spec) (*profiler.Table, error) {
+	if path == "" {
+		fmt.Fprintln(os.Stderr, "no -table given; calibrating serving configurations (seconds)...")
+		return fleet.CalibrateSpec(spec)
 	}
-	// Calibrate over the union of server types across every fleet the
-	// spec names — the top-level one plus each region's — so a
-	// multi-region run resolves every (model, type) pair it can route
-	// to from one shared table.
-	names := []string{spec.Fleet}
-	for _, r := range spec.Regions {
-		if r.Fleet != "" {
-			names = append(names, r.Fleet)
-		}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[string]bool)
-	var types []hw.Server
-	for _, fn := range names {
-		fl, err := hw.NamedFleet(fn)
-		if err != nil {
-			return nil, err
-		}
-		for _, st := range fl.Types {
-			if !seen[st.Type] {
-				seen[st.Type] = true
-				types = append(types, st)
-			}
-		}
+	var entries []profiler.Entry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(os.Stderr, "no -table given; calibrating serving configurations (seconds)...")
-	var models []*model.Model
-	for _, name := range spec.Models {
-		m, err := model.ByName(name, model.Prod)
-		if err != nil {
-			return nil, err
-		}
-		models = append(models, m)
-	}
-	return fleet.CalibrateTable(models, types, seed)
+	return profiler.FromEntries(profiler.Hercules, entries), nil
 }
 
 // listenPprof binds the -pprof address.

@@ -14,7 +14,8 @@ import (
 
 // TestFlagDefaultsMatchDefaultSpec is the drift guard for the CLI: a
 // bare `hercules-fleet` run (no flags, no -spec) must build exactly
-// fleet.DefaultSpec() — flag defaults are derived from it, never
+// fleet.DefaultSpec(), and every spec-field flag's default, overlaid,
+// must leave it unchanged — flag defaults are derived from it, never
 // hand-copied, so a default changed in the library cannot silently
 // diverge from the command line.
 func TestFlagDefaultsMatchDefaultSpec(t *testing.T) {
@@ -27,22 +28,74 @@ func TestFlagDefaultsMatchDefaultSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fleet.DefaultSpec(); !reflect.DeepEqual(spec, want) {
+	want := fleet.DefaultSpec()
+	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("bare CLI spec = %+v\nwant DefaultSpec  %+v", spec, want)
 	}
 	if got, want := spec.Options, fleet.DefaultOptions(); got != want {
 		t.Errorf("bare CLI options = %+v, want DefaultOptions %+v", got, want)
 	}
+	for name, apply := range cf.overlays {
+		got := fleet.DefaultSpec()
+		apply(&got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-%s default overlays DefaultSpec to %+v", name, got)
+		}
+	}
 }
 
-// TestSpecFileFlagsOverride: -spec loads the file, explicitly set
-// flags win over it, unset flags defer to it.
+// specFlagRows sets every spec-field flag over a spec file to a value
+// the file does not hold, with the one field change that must follow.
+var specFlagRows = []struct {
+	flag, value string
+	set         func(*fleet.Spec)
+}{
+	{"models", "RMC3", func(s *fleet.Spec) { s.Models = []string{"DLRM-RMC3"} }},
+	{"fleet", "cpu", func(s *fleet.Spec) { s.Fleet = "cpu" }},
+	{"scaler", "prop", func(s *fleet.Spec) { s.Scaler = "prop" }},
+	{"admission", "deadline", func(s *fleet.Spec) { s.Admission = "deadline" }},
+	{"geo", "spill", func(s *fleet.Spec) { s.Geo = "spill" }},
+	{"scenario", "flashcrowd", func(s *fleet.Spec) { s.Scenario = "flashcrowd" }},
+	{"trace", "day.ndjson", func(s *fleet.Spec) { s.Trace = "day.ndjson" }},
+	{"cache-hit", "0.5", func(s *fleet.Spec) { s.Cache.HitRate = 0.5 }},
+	{"cache-latency", "0.7", func(s *fleet.Spec) { s.Cache.LatencyMS = 0.7 }},
+	{"cache-fill", "500", func(s *fleet.Spec) { s.Cache.FillQueries = 500 }},
+	{"cache-cold", "true", func(s *fleet.Spec) { s.Cache.ColdStart = true }},
+	{"days", "3", func(s *fleet.Spec) { s.Days = 3 }},
+	{"step-min", "15", func(s *fleet.Spec) { s.StepMin = 15 }},
+	{"peak", "900", func(s *fleet.Spec) { s.PeakQPS = 900 }},
+	{"headroom", "0.3", func(s *fleet.Spec) { s.HeadroomR = 0.3 }},
+	{"queue", "9", func(s *fleet.Spec) { s.Options.QueueCap = 9 }},
+	{"slice", "4", func(s *fleet.Spec) { s.Options.SliceS = 4 }},
+	{"window", "0.5", func(s *fleet.Spec) { s.Options.WindowS = 0.5 }},
+	{"max-queries", "1234", func(s *fleet.Spec) { s.Options.MaxQueriesPerInterval = 1234 }},
+	{"batch", "16", func(s *fleet.Spec) { s.Options.MaxBatch = 16 }},
+	{"batch-wait", "5", func(s *fleet.Spec) { s.Options.BatchWaitS = 0.005 }},
+	{"seed", "7", func(s *fleet.Spec) { s.Options.Seed = 7 }},
+	{"trace-sample", "64", func(s *fleet.Spec) { s.Options.TraceSample = 64 }},
+}
+
+// nonSpecFlags are the flags that override no spec field through an
+// overlay: the sweep axes, -grid (parsed separately), inputs and
+// outputs.
+var nonSpecFlags = []string{
+	"spec", "table", "routers", "policies", "grid", "list-scenarios", "record",
+	"ndjson", "summary", "pretty", "trace-out", "trace-chrome", "metrics-out",
+	"pprof", "cpuprofile",
+}
+
+// TestSpecFileFlagsOverride: -spec loads the file, and each explicitly
+// set spec-field flag changes exactly its own field over it — every
+// other field defers to the file. The rows must be exactly the
+// registered spec flags, and every flag must be either a spec flag or
+// a listed non-spec one, so a flag registered without an overlay or
+// an overlay without a row fails here.
 func TestSpecFileFlagsOverride(t *testing.T) {
-	spec := fleet.DefaultSpec()
-	spec.Router = fleet.WeightedHetero
-	spec.Options.MaxBatch = 8
-	spec.Options.QueueCap = 7
-	data, err := json.Marshal(spec)
+	file := fleet.DefaultSpec()
+	file.Router = fleet.WeightedHetero
+	file.Options.MaxBatch = 8
+	file.Options.QueueCap = 7
+	data, err := json.Marshal(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +103,49 @@ func TestSpecFileFlagsOverride(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
 	fs := flag.NewFlagSet("hercules-fleet", flag.ContinueOnError)
 	cf := registerFlags(fs)
-	if err := fs.Parse([]string{"-spec", path, "-batch", "16"}); err != nil {
-		t.Fatal(err)
+	rows := make(map[string]bool, len(specFlagRows))
+	for _, row := range specFlagRows {
+		rows[row.flag] = true
+		if cf.overlays[row.flag] == nil {
+			t.Errorf("row -%s is not a registered spec flag", row.flag)
+		}
 	}
-	got, err := buildSpec(cf, fs)
-	if err != nil {
-		t.Fatal(err)
+	for name := range cf.overlays {
+		if !rows[name] {
+			t.Errorf("spec flag -%s has no row", name)
+		}
 	}
-	if got.Options.MaxBatch != 16 {
-		t.Errorf("explicit -batch must override the spec file, got %d", got.Options.MaxBatch)
+	nonSpec := make(map[string]bool, len(nonSpecFlags))
+	for _, name := range nonSpecFlags {
+		nonSpec[name] = true
 	}
-	if got.Options.QueueCap != 7 || got.Router != fleet.WeightedHetero {
-		t.Errorf("unset flags must defer to the spec file, got %+v", got)
+	fs.VisitAll(func(f *flag.Flag) {
+		if _, spec := cf.overlays[f.Name]; spec == nonSpec[f.Name] {
+			t.Errorf("-%s must be exactly one of a spec flag (with an overlay) or a listed non-spec flag", f.Name)
+		}
+	})
+
+	for _, row := range specFlagRows {
+		fs := flag.NewFlagSet("hercules-fleet", flag.ContinueOnError)
+		cf := registerFlags(fs)
+		if err := fs.Parse([]string{"-spec", path, "-" + row.flag, row.value}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := buildSpec(cf, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := file
+		row.set(&want)
+		if reflect.DeepEqual(want, file) {
+			t.Errorf("row -%s %s: the spec file already holds the value", row.flag, row.value)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-%s %s over the spec file built %+v\nwant %+v", row.flag, row.value, got, want)
+		}
 	}
 }
 

@@ -32,9 +32,16 @@ func main() {
 	}
 	spec.Options.MaxQueriesPerInterval = 20000
 
+	// Both geo policies replay against one table: the spec's pairs are
+	// calibrated once, not once per run.
+	fmt.Fprintln(os.Stderr, "calibrating, then replaying two region-days per policy...")
+	table, err := fleet.CalibrateSpec(spec)
+	if err != nil {
+		fatal(err)
+	}
 	run := func(geo string) fleet.DayResult {
 		spec.Geo = geo
-		me, err := fleet.NewMultiEngine(spec)
+		me, err := fleet.NewMultiEngine(spec, fleet.WithTable(table))
 		if err != nil {
 			fatal(err)
 		}
@@ -45,7 +52,6 @@ func main() {
 		return day
 	}
 
-	fmt.Fprintln(os.Stderr, "calibrating and replaying two region-days per policy...")
 	local := run(fleet.GeoLocal)
 	spill := run(fleet.GeoSpill)
 

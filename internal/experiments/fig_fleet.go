@@ -7,8 +7,6 @@ import (
 
 	"hercules/internal/cluster"
 	"hercules/internal/fleet"
-	"hercules/internal/hw"
-	"hercules/internal/model"
 	"hercules/internal/profiler"
 	"hercules/internal/workload"
 )
@@ -32,27 +30,13 @@ var (
 // FleetModels are the workloads of the online replay experiment.
 var FleetModels = []string{"DLRM-RMC1", "DLRM-RMC2"}
 
-// FleetFleet is the replay cluster: plain CPU, NMP and GPU server
-// types at a 76-server scale (the Fig. 8 characterization trio) — the
-// fleet registered as "small" (hw.NamedFleet).
-func FleetFleet() hw.Fleet { return hw.SmallFleet() }
-
 // FleetTable returns the process-wide calibrated efficiency table for
-// the replay experiment: each pair measured once under its default
-// serving configuration (seconds) rather than the full Algorithm 1
+// the replay experiment: FleetSpec's pairs quick-calibrated once
+// (fleet.CalibrateSpec — seconds) rather than the full Algorithm 1
 // search (minutes).
 func FleetTable() (*profiler.Table, error) {
 	fleetTableOnce.Do(func() {
-		models := make([]*model.Model, 0, len(FleetModels))
-		for _, name := range FleetModels {
-			m, err := model.ByName(name, model.Prod)
-			if err != nil {
-				fleetTableErr = err
-				return
-			}
-			models = append(models, m)
-		}
-		fleetTable, fleetTableErr = fleet.CalibrateTable(models, FleetFleet().Types, Seed)
+		fleetTable, fleetTableErr = fleet.CalibrateSpec(FleetSpec(fleet.PowerOfTwo, "hercules", Seed))
 	})
 	return fleetTable, fleetTableErr
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hercules/internal/fleet"
+	"hercules/internal/hw"
 	"hercules/internal/profiler"
 )
 
@@ -76,7 +77,9 @@ func TestFleetTableCalibrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, srv := range FleetFleet().Types {
+	// The replay runs on DefaultSpec's fleet: plain CPU, NMP and GPU
+	// server types at a 76-server scale (hw.SmallFleet).
+	for _, srv := range hw.SmallFleet().Types {
 		for _, m := range FleetModels {
 			e, ok := table.Get(srv.Type, m)
 			if !ok || e.QPS <= 0 {

@@ -125,10 +125,10 @@ func (e *Engine) cacheInit(names []string) {
 	e.cachePrevSize = make(map[string]float64, len(names))
 	e.cacheHitPrev = make(map[string]float64, len(names))
 	for _, m := range names {
-		w := e.Cache.initialWarmth()
+		w := e.Spec.Cache.initialWarmth()
 		e.cacheWarmth[m] = w
 		e.cachePrevSize[m] = 1
-		e.cacheHitPrev[m] = e.Cache.rateFor(m, w)
+		e.cacheHitPrev[m] = e.Spec.Cache.rateFor(m, w)
 	}
 }
 
@@ -143,11 +143,11 @@ func (e *Engine) cacheAdvance(m string, eff scenario.Effects) float64 {
 		w *= 1 - f
 	}
 	if sz := eff.Size(m); sz != e.cachePrevSize[m] {
-		w *= e.Cache.mixRetention()
+		w *= e.Spec.Cache.mixRetention()
 		e.cachePrevSize[m] = sz
 	}
 	e.cacheWarmth[m] = w
-	return e.Cache.rateFor(m, w)
+	return e.Spec.Cache.rateFor(m, w)
 }
 
 // cacheFill refills one model's warmth from the interval's
@@ -157,7 +157,7 @@ func (e *Engine) cacheAdvance(m string, eff scenario.Effects) float64 {
 func (e *Engine) cacheFill(m string, servedMisses, hits, queries int, extrapolate float64) {
 	if eff := float64(servedMisses) * math.Max(extrapolate, 1); eff > 0 {
 		w := e.cacheWarmth[m]
-		e.cacheWarmth[m] = w + (1-w)*(1-math.Exp(-eff/e.Cache.fillQueries()))
+		e.cacheWarmth[m] = w + (1-w)*(1-math.Exp(-eff/e.Spec.Cache.fillQueries()))
 	}
 	rate := 0.0
 	if queries > 0 {

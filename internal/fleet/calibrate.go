@@ -66,3 +66,49 @@ func CalibrateTable(models []*model.Model, servers []hw.Server, seed int64) (*pr
 	}
 	return t, nil
 }
+
+// CalibrateSpec quick-calibrates the table a spec replays against: the
+// spec's models (DefaultSpec's when it names none) on the server types
+// of its top-level fleet and of every region's fleet, each type once
+// in first-seen order, at the spec's seed. It is the offline stage of
+// every spec-driven run: NewEngine and NewMultiEngine call it when no
+// WithTable is given, and a caller that builds several engines from
+// one spec calibrates once here and passes the table to each.
+func CalibrateSpec(spec Spec) (*profiler.Table, error) {
+	spec = spec.withDefaults()
+	names := []string{spec.Fleet}
+	for _, r := range spec.Regions {
+		if r.Fleet != "" {
+			names = append(names, r.Fleet)
+		}
+	}
+	seen := make(map[string]bool)
+	var types []hw.Server
+	for _, name := range names {
+		fl, err := hw.NamedFleet(name)
+		if err != nil {
+			return nil, err
+		}
+		for _, srv := range fl.Types {
+			if !seen[srv.Type] {
+				seen[srv.Type] = true
+				types = append(types, srv)
+			}
+		}
+	}
+	return calibrateModels(spec.Models, types, spec.Options.Seed)
+}
+
+// calibrateModels resolves a spec's model names and calibrates them on
+// the given server types: the one step from names to CalibrateTable.
+func calibrateModels(names []string, types []hw.Server, seed int64) (*profiler.Table, error) {
+	models := make([]*model.Model, 0, len(names))
+	for _, name := range names {
+		m, err := model.ByName(name, model.Prod)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		models = append(models, m)
+	}
+	return CalibrateTable(models, types, seed)
+}

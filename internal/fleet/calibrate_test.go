@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"hercules/internal/hw"
@@ -93,5 +94,58 @@ func TestCalibrateGolden(t *testing.T) {
 	}
 	if !bytes.Equal(data, want) {
 		t.Error("offline stage diverged from the committed golden (UPDATE_GOLDEN=1 to regenerate after a deliberate change)")
+	}
+}
+
+// TestCalibrateSpecRegions: a regional spec whose regions name
+// different fleets calibrates the union of their server types once, at
+// the spec's seed, each pair exactly as CalibrateTable measures it over
+// the region's own fleet; and NewMultiEngine without WithTable hands
+// that one table to every region instead of calibrating per region.
+func TestCalibrateSpecRegions(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Models = []string{"DLRM-RMC1"}
+	spec.Regions = []RegionSpec{{Name: "east", Fleet: "small"}, {Name: "west", Fleet: "cpu"}}
+	table, err := CalibrateSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.ByName("DLRM-RMC1", model.Prod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make(map[string]bool)
+	for _, r := range spec.Regions {
+		fl, err := hw.NamedFleet(r.Fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := CalibrateTable([]*model.Model{m}, fl.Types, spec.Options.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range own.Entries() {
+			got, ok := table.Get(want.Server, want.Model)
+			if !ok || got != want {
+				t.Errorf("region %s pair %s/%s: CalibrateSpec %+v, own fleet %+v", r.Name, want.Server, want.Model, got, want)
+			}
+			covered[want.Server] = true
+		}
+	}
+	if got := len(table.Entries()); got != len(covered) {
+		t.Errorf("CalibrateSpec returned %d entries, want one per type of the regions' fleets (%d)", got, len(covered))
+	}
+
+	me, err := NewMultiEngine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, eng := range me.Engines {
+		if eng.Table != me.Engines[0].Table {
+			t.Errorf("region %s calibrated its own table; want the one shared table", me.Spec.Regions[i].Name)
+		}
+	}
+	if got, want := me.Engines[0].Table.Entries(), table.Entries(); !reflect.DeepEqual(got, want) {
+		t.Errorf("NewMultiEngine table %+v, want CalibrateSpec's %+v", got, want)
 	}
 }

@@ -16,12 +16,15 @@
 //
 // The surface:
 //
-//   - Spec / NewEngine — a JSON-serializable run description (fleet,
-//     models, policies by registered name, scenario, tuning) plus
-//     functional options (WithTable, WithFleet, WithService,
-//     WithObserver, …) for the process-local pieces a spec cannot
-//     carry. Every CLI, experiment driver and example builds engines
-//     this way, so a run is reproducible from one JSON document;
+//   - Spec / CalibrateSpec / NewEngine — a JSON-serializable run
+//     description (fleet, models, policies by name, scenario, tuning)
+//     that drives both stages: CalibrateSpec builds its table, and
+//     NewEngine its engine, with functional options (WithTable,
+//     WithFleet, WithService, WithObserver, …) for the process-local
+//     pieces a spec cannot carry. The engine reads its configuration
+//     from Engine.Spec alone. Every CLI, experiment driver and example
+//     builds engines this way, so a run is reproducible from one JSON
+//     document;
 //   - the policy tables — routing, autoscaling, admission and
 //     geo-routing policies are constructed by name (NewRouter,
 //     NewScaler, NewAdmission, NewGeoPolicy) from four read-only
@@ -47,7 +50,9 @@
 //     (DeadlineAdmission sheds on the previous interval's deadline
 //     overshoot); nil admits everything;
 //   - CalibrateTable — a seconds-scale serving table when the full
-//     Fig. 9b profiling run is too slow;
+//     Fig. 9b profiling run is too slow; CalibrateSpec calls it for a
+//     Spec's models on the server types of its fleet and every
+//     region's fleet;
 //   - ApplyScenario / Engine.Timeline — inject an internal/scenario
 //     timeline (flash crowds, failures, derates, shedding, cache
 //     flushes) into the replay (Spec.Scenario names one and RunDay

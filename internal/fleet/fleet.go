@@ -82,32 +82,24 @@ func DefaultOptions() Options {
 }
 
 // Engine replays days of traffic against a provisioned fleet.
-// NewEngine assembles one from a serializable Spec; the exported
-// fields remain assignable for tests and tools that compose an engine
-// by hand.
+// NewEngine assembles one from a serializable Spec.
 type Engine struct {
-	// Spec is the normalized run description the engine was built from
-	// (Workloads synthesizes the day it describes). Hand-assembled
-	// engines may leave it zero.
+	// Spec is the defaulted run description the engine was built from
+	// and the one source of its configuration: the router name (RunDay
+	// resolves it through routerTable, once, and instantiates a fresh
+	// Router per model pool and interval), the cache tier, the grid,
+	// the engine Options, and the day Workloads synthesizes.
 	Spec        Spec
 	Fleet       hw.Fleet
 	Table       *profiler.Table
 	Provisioner *cluster.Provisioner
-	// Router is the registered name of the per-query routing policy;
-	// RunDay resolves it through routerTable, once, and instantiates
-	// a fresh Router per model pool and interval.
-	Router  string
-	Service ServiceSource
+	Service     ServiceSource
 	// Scaler is the online autoscaling policy; nil disables early
 	// re-provisioning (scheduled intervals only).
 	Scaler Scaler
 	// Admission is the SLA-aware load-shedding policy consulted per
 	// interval and workload before routing; nil admits everything.
 	Admission Admission
-	// Scenario is the parsed scenario of the spec; RunDay compiles it
-	// into Timeline against the workloads' trace geometry when
-	// Timeline is nil and the scenario is active.
-	Scenario scenario.Scenario
 	// Timeline injects a compiled non-stationary scenario
 	// (internal/scenario): per-interval load spikes, query-mix shifts,
 	// admission shedding, server kills and derates. nil replays the
@@ -121,8 +113,7 @@ type Engine struct {
 	// (telemetry.Kind) when non-nil: each model's replay task stages
 	// events in its own buffers, and the replay goroutine drains them
 	// in model-name order after each interval and flushes the tracer's
-	// sinks. NewEngine creates one automatically when
-	// Options.TraceSample > 0; hand-assembled engines set it directly.
+	// sinks. NewEngine creates one when Options.TraceSample > 0.
 	Tracer *telemetry.Tracer
 	// TraceSrc replays a recorded arrival trace instead of generating
 	// queries: each interval's stream comes verbatim from the trace
@@ -133,18 +124,11 @@ type Engine struct {
 	// cache tier re-apply as live policy. NewEngine sets it from
 	// Spec.Trace or WithTraceSource.
 	TraceSrc *TraceSource
-	// Cache models the request cache tier in front of routing (see
-	// CacheSpec); the zero value disables it and replays bit-identically
-	// to the cache-less engine. NewEngine copies it from Spec.Cache.
-	Cache CacheSpec
-	// Grid prices the replay's measured energy against a carbon-
-	// intensity timeline (grid.Spec); beginDay compiles it against the
-	// day's geometry. The zero value disables carbon accounting and
-	// replays bit-identically to the grid-less engine. NewEngine copies
-	// it from Spec.Grid.
-	Grid grid.Spec
-	Opts Options
 
+	// sc is the parsed Spec.Scenario; RunDay compiles it into Timeline
+	// against the workloads' trace geometry when Timeline is nil and
+	// the scenario is active.
+	sc        scenario.Scenario
 	newRouter func() Router
 	models    map[string]*model.Model
 	meanSvc   map[pairKey]float64
@@ -399,7 +383,7 @@ type dayRun struct {
 func (e *Engine) beginDay(ws []cluster.Workload) error {
 	e.run = &dayRun{ws: ws}
 	r := e.run
-	r.res = DayResult{Router: e.Router, Policy: e.Provisioner.Kind.String(), Scenario: "baseline"}
+	r.res = DayResult{Router: e.Spec.Router, Policy: e.Provisioner.Kind.String(), Scenario: "baseline"}
 	if e.Scaler != nil {
 		r.res.Scaler = e.Scaler.Name()
 	}
@@ -409,8 +393,8 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	if len(ws) == 0 {
 		return fmt.Errorf("fleet: no workloads")
 	}
-	if e.Timeline == nil && e.Scenario.Active() {
-		if err := e.ApplyScenario(e.Scenario, ws); err != nil {
+	if e.Timeline == nil && e.sc.Active() {
+		if err := e.ApplyScenario(e.sc, ws); err != nil {
 			return err
 		}
 	}
@@ -418,7 +402,7 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 		r.res.Scenario = e.Timeline.Name
 	}
 	var err error
-	if e.newRouter, err = RouterFactory(e.Router); err != nil {
+	if e.newRouter, err = RouterFactory(e.Spec.Router); err != nil {
 		return err
 	}
 	if e.Service == nil {
@@ -436,7 +420,7 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	e.batchEff = make(map[pairKey][]float64)
 	e.prevObs = make(map[string]modelObs, len(ws))
 	e.baseOverR = e.Provisioner.OverProvisionR
-	e.cacheActive = e.Cache.Enabled()
+	e.cacheActive = e.Spec.Cache.Enabled()
 	if e.cacheActive {
 		names := make([]string, 0, len(ws))
 		for _, w := range ws {
@@ -458,7 +442,7 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	}
 	r.steps = steps
 	r.stepS = ws[0].Trace.StepS
-	r.every = max(e.Opts.ReprovisionEvery, 1)
+	r.every = max(e.Spec.Options.ReprovisionEvery, 1)
 
 	// Compile the grid intensity timeline against the day's geometry,
 	// folding the region's diurnal phase so a phase-shifted region's
@@ -466,12 +450,12 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	// carbon branch below is dead and the replay is byte-identical to a
 	// grid-less build.
 	e.gridTL = nil
-	if e.Grid.Enabled() {
+	if e.Spec.Grid.Enabled() {
 		region, phaseH := "local", 0.0
 		if len(e.Spec.Regions) == 1 {
 			region, phaseH = e.Spec.Regions[0].Name, e.Spec.Regions[0].PhaseH
 		}
-		tl, err := e.Grid.Compile(region, steps, r.stepS, phaseH)
+		tl, err := e.Spec.Grid.Compile(region, steps, r.stepS, phaseH)
 		if err != nil {
 			return err
 		}
@@ -749,10 +733,10 @@ func (e *Engine) buildInstances(alloc cluster.Allocation) map[string][]*Instance
 			svc := e.pairService(h, m)
 			weight := entry.QPS
 			batchCap, eff := 1, []float64(nil)
-			if e.Opts.MaxBatch > 1 {
-				eff = e.pairBatchEff(h, m, e.Opts.MaxBatch)
+			if e.Spec.Options.MaxBatch > 1 {
+				eff = e.pairBatchEff(h, m, e.Spec.Options.MaxBatch)
 				mean := e.meanSvc[pairKey{h, m}] // populated by concurrency()
-				batchCap = batchCapFor(eff, mean, entry.QPS, e.models[m].SLATargetMS, e.Opts.MaxBatch)
+				batchCap = batchCapFor(eff, mean, entry.QPS, e.models[m].SLATargetMS, e.Spec.Options.MaxBatch)
 				if batchCap > 1 {
 					// The router's capacity signal tracks the batched
 					// saturation throughput cap / batch makespan =
@@ -764,9 +748,9 @@ func (e *Engine) buildInstances(alloc cluster.Allocation) map[string][]*Instance
 				}
 			}
 			for k := 0; k < row[m]; k++ {
-				in := NewInstance(e.instSeq, h, m, weight, conc, e.Opts.QueueCap, svc)
+				in := NewInstance(e.instSeq, h, m, weight, conc, e.Spec.Options.QueueCap, svc)
 				if batchCap > 1 {
-					in.EnableBatching(batchCap, e.Opts.BatchWaitS, eff[:batchCap+1])
+					in.EnableBatching(batchCap, e.Spec.Options.BatchWaitS, eff[:batchCap+1])
 				}
 				out[m] = append(out[m], in)
 				e.instSeq++
@@ -856,7 +840,7 @@ func (e *Engine) concurrency(serverType, modelName string, qps float64) int {
 		// (type, model) must calibrate identically regardless of which
 		// allocation introduced it first.
 		mean = meanServiceS(e.Service, serverType, modelName,
-			mixSeed(e.Opts.Seed, 0x5eed, hashString(serverType), hashString(modelName)))
+			mixSeed(e.Spec.Options.Seed, 0x5eed, hashString(serverType), hashString(modelName)))
 		e.meanSvc[k] = mean
 	}
 	if math.IsInf(mean, 0) || mean <= 0 || qps <= 0 {
@@ -1335,8 +1319,8 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 	// replayed trace's recorded slice is authoritative — the recording
 	// run already sized it, and re-deriving would couple byte identity
 	// to matching engine tuning.
-	sliceS := e.Opts.SliceS
-	if budget := float64(e.Opts.MaxQueriesPerInterval); budget > 0 && totalLoad*sliceS > budget {
+	sliceS := e.Spec.Options.SliceS
+	if budget := float64(e.Spec.Options.MaxQueriesPerInterval); budget > 0 && totalLoad*sliceS > budget {
 		sliceS = budget / totalLoad
 	}
 	if e.TraceSrc != nil {
@@ -1344,7 +1328,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			sliceS = rec
 		}
 	}
-	windows := stats.ClampInt(int(sliceS/e.Opts.WindowS), 2, 600)
+	windows := stats.ClampInt(int(sliceS/e.Spec.Options.WindowS), 2, 600)
 	windowW := sliceS / float64(windows)
 	ist.Windows = windows
 	e.run.sliceS = sliceS
@@ -1355,7 +1339,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		scr.tasks = append(scr.tasks, &poolTask{})
 	}
 	tasks := scr.tasks[:len(names)]
-	cacheLatS := e.Cache.latencyS()
+	cacheLatS := e.Spec.Cache.latencyS()
 	for mi, m := range names {
 		t := tasks[mi]
 		t.reset(windows)
@@ -1370,19 +1354,19 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		t.pending = &scr.pending
 		// The <<8 is part of every recorded routing stream: changing it
 		// re-rolls the golden replays.
-		t.seed = mixSeed(e.Opts.Seed, int64(idx), int64(mi)<<8)
+		t.seed = mixSeed(e.Spec.Options.Seed, int64(idx), int64(mi)<<8)
 		t.windowW = windowW
 		t.sliceS = sliceS
-		t.maxBatch = max(e.Opts.MaxBatch, 1)
+		t.maxBatch = max(e.Spec.Options.MaxBatch, 1)
 		if e.cacheActive {
 			t.cacheHR = e.cacheAdvance(m, eff)
 		}
 		t.cacheLatS = cacheLatS
-		t.cacheStream = cacheStreamSeed(e.Opts.Seed, idx, mh)
+		t.cacheStream = cacheStreamSeed(e.Spec.Options.Seed, idx, mh)
 		if adj != nil && adj.inbound[m] > 0 && loads[m] > 0 {
 			t.remoteFrac = math.Min(adj.inbound[m]/loads[m], 1)
 			t.remoteRTTS = adj.rttS
-			t.remoteStream = remoteStreamSeed(e.Opts.Seed, idx, mh)
+			t.remoteStream = remoteStreamSeed(e.Spec.Options.Seed, idx, mh)
 		}
 		if tr != nil {
 			t.trace.Arm(tr, idx, m, mh)
@@ -1399,7 +1383,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			t.rec = e.TraceSrc.Queries(idx, m)
 		}
 		t.qps = loads[m]
-		t.genSeed = mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi))
+		t.genSeed = mixSeed(e.Spec.Options.Seed, 0x9e37+int64(idx), int64(mi))
 		t.sizeScale = eff.Size(m)
 		// Two shedding sources compose at the door: the scenario's
 		// load-shedding drills and the engine's admission policy (which
@@ -1418,14 +1402,14 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			if e.gridTL != nil {
 				sig.GridGPerKWh = e.gridTL.At(idx)
 				sig.GridMeanGPerKWh = e.gridTL.MeanG()
-				sig.DeferrableFrac = e.Grid.Deferrable()
+				sig.DeferrableFrac = e.Spec.Grid.Deferrable()
 			}
 			af := e.Admission.ShedFrac(sig)
 			af = math.Min(math.Max(af, 0), 0.95)
 			frac = 1 - (1-frac)*(1-af)
 		}
 		t.shedFrac = frac
-		t.shedSeed = mixSeed(e.Opts.Seed, 0x5ed0+int64(idx), int64(mi))
+		t.shedSeed = mixSeed(e.Spec.Options.Seed, 0x5ed0+int64(idx), int64(mi))
 	}
 	return tasks
 }

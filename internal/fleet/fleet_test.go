@@ -297,7 +297,7 @@ func TestAutoscalerTriggersEarlyReprovision(t *testing.T) {
 	var earlyIdx = -1
 	for _, s := range res.Steps {
 		if s.EarlyReprovision {
-			if s.Index%e.Opts.ReprovisionEvery == 0 {
+			if s.Index%e.Spec.Options.ReprovisionEvery == 0 {
 				t.Errorf("interval %d is a scheduled boundary, not early", s.Index)
 			}
 			earlyIdx = s.Index

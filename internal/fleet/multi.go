@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hercules/internal/cluster"
+	"hercules/internal/profiler"
 	"hercules/internal/scenario"
 )
 
@@ -38,7 +39,8 @@ type MultiEngine struct {
 // the scenario compiles per region through scenario.CompileRegions at
 // RunDay, so blackout and region-scoped events land only where they
 // should. Options apply to every region's engine — per-region
-// decoration goes through MultiEngine.Engines.
+// decoration goes through MultiEngine.Engines. Without WithTable every
+// region replays against one CalibrateSpec table.
 //
 // A single-region spec (including a normalized legacy spec) is valid:
 // RunDay then delegates to the one engine and its result is
@@ -74,6 +76,21 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 		if err := nspec.Grid.CheckRegions(known); err != nil {
 			return nil, err
 		}
+	}
+
+	// Calibrate once for every region: a region engine calibrating for
+	// itself would measure the same pairs again at its salted seed.
+	if cfg := configure(opts); cfg.table == nil {
+		var table *profiler.Table
+		if cfg.fleet != nil {
+			table, err = calibrateModels(nspec.Models, cfg.fleet.Types, nspec.Options.Seed)
+		} else {
+			table, err = CalibrateSpec(nspec)
+		}
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts[:len(opts):len(opts)], WithTable(table))
 	}
 
 	me := &MultiEngine{Spec: nspec, Geo: geo, sc: sc}
@@ -321,7 +338,6 @@ func (e *Engine) capacityQPS(eff scenario.Effects) float64 {
 		types = append(types, t)
 	}
 	sort.Strings(types)
-	models := e.Spec.withDefaults().Models
 	var total float64
 	for _, t := range types {
 		// Powercapped servers serve slower; the spill policy sees the
@@ -332,7 +348,7 @@ func (e *Engine) capacityQPS(eff scenario.Effects) float64 {
 			continue
 		}
 		best := 0.0
-		for _, m := range models {
+		for _, m := range e.Spec.Models {
 			if entry, ok := e.Table.Get(t, m); ok && entry.QPS > 0 {
 				best = math.Max(best, entry.QPS*h.speed)
 			}

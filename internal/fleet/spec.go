@@ -7,7 +7,6 @@ import (
 	"hercules/internal/cluster"
 	"hercules/internal/grid"
 	"hercules/internal/hw"
-	"hercules/internal/model"
 	"hercules/internal/profiler"
 	"hercules/internal/scenario"
 	"hercules/internal/telemetry"
@@ -15,10 +14,12 @@ import (
 )
 
 // Spec is the one JSON-serializable description of a fleet replay run:
-// the named fleet, the workload models, every policy by its registered
-// name, the scenario, the trace geometry and the engine tuning. CLIs,
-// experiment drivers and examples all construct engines from a Spec
-// (NewEngine), so a run can be saved, diffed, and replayed from a
+// the named fleet, the workload models, every policy by name, the
+// scenario, the trace geometry and the engine tuning. CLIs, experiment
+// drivers and examples all construct engines (NewEngine,
+// NewMultiEngine) from a Spec, CalibrateSpec derives the serving table
+// from the same Spec, and an Engine reads its configuration from its
+// Spec alone, so a run can be saved, diffed, and replayed from a
 // single JSON document — `hercules-fleet -spec run.json` — instead of
 // a per-caller pile of options plumbing.
 //
@@ -42,15 +43,15 @@ type Spec struct {
 	// (NewMultiEngine). Empty means the legacy single-fleet run —
 	// Normalize canonicalizes it to one implicit region named "local".
 	Regions []RegionSpec `json:"regions,omitempty"`
-	// Geo names the registered geo-routing policy (GeoPolicyNames)
+	// Geo names the geo-routing policy (GeoPolicyNames)
 	// that moves load between regions each interval; empty defaults to
 	// "local" (no cross-region routing).
 	Geo string `json:"geo,omitempty"`
 	// Models are the workload models replayed against the fleet.
 	Models []string `json:"models,omitempty"`
-	// Router, Policy, Scaler and Admission select policies by
-	// registered name (RouterNames, cluster.PolicyNames, ScalerNames,
-	// AdmissionNames).
+	// Router, Policy, Scaler and Admission select policies by name
+	// from the fixed policy tables (RouterNames, cluster.PolicyNames,
+	// ScalerNames, AdmissionNames).
 	Router    string `json:"router,omitempty"`
 	Policy    string `json:"policy,omitempty"`
 	Scaler    string `json:"scaler,omitempty"`
@@ -237,15 +238,25 @@ type engineConfig struct {
 	traceSrc  *TraceSource
 }
 
+// configure applies opts to a fresh engineConfig.
+func configure(opts []Option) engineConfig {
+	var cfg engineConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // WithFleet overrides the spec's named fleet with an explicit one —
 // for clusters that have no name (synthetic test fleets, experiment
 // pools).
 func WithFleet(fl hw.Fleet) Option { return func(c *engineConfig) { c.fleet = &fl } }
 
 // WithTable supplies the profiled efficiency table. Without it,
-// NewEngine quick-calibrates the spec's (model, server type) pairs on
-// the fly (seconds — CalibrateTable), which is convenient but
-// recalibrates per engine.
+// NewEngine and NewMultiEngine quick-calibrate the spec's (model,
+// server type) pairs on the fly (seconds — CalibrateSpec); a caller
+// that builds several engines from one spec calibrates once and passes
+// the table here.
 func WithTable(t *profiler.Table) Option { return func(c *engineConfig) { c.table = t } }
 
 // WithService overrides the per-query service-time source (default:
@@ -266,17 +277,15 @@ func WithTraceSource(ts *TraceSource) Option {
 }
 
 // NewEngine assembles a replay engine from a serializable Spec plus
-// process-local options: policies are resolved through the registries
-// by name, the fleet through hw.NamedFleet, the scenario through
+// process-local options: policies are resolved by name through the
+// policy tables, the fleet through hw.NamedFleet, the scenario through
 // scenario.Parse, and the provisioner is built fresh so runs with
 // different policies never share arbitration RNG state. An unknown
-// name of any kind is an error (listing what is registered), never a
-// silent fallback.
+// name of any kind is an error (listing the known names), never a
+// silent fallback. Without WithTable the engine's fleet is calibrated
+// through the same model resolution as CalibrateSpec.
 func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
-	var cfg engineConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := configure(opts)
 
 	// Load the arrival trace before defaulting: a trace-driven run with
 	// no explicit models adopts the trace's model set, not DefaultSpec's.
@@ -303,11 +312,10 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		}
 	}
 
-	router, err := ParseRouter(spec.Router)
-	if err != nil {
+	var err error
+	if spec.Router, err = ParseRouter(spec.Router); err != nil {
 		return nil, err
 	}
-	spec.Router = router
 	pol, err := cluster.ParsePolicy(spec.Policy)
 	if err != nil {
 		return nil, err
@@ -348,15 +356,7 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 
 	table := cfg.table
 	if table == nil {
-		models := make([]*model.Model, 0, len(spec.Models))
-		for _, name := range spec.Models {
-			m, lookupErr := model.ByName(name, model.Prod)
-			if lookupErr != nil {
-				return nil, fmt.Errorf("fleet: %w", lookupErr)
-			}
-			models = append(models, m)
-		}
-		if table, err = CalibrateTable(models, fl.Types, spec.Options.Seed); err != nil {
+		if table, err = calibrateModels(spec.Models, fl.Types, spec.Options.Seed); err != nil {
 			return nil, err
 		}
 	}
@@ -372,16 +372,12 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		Fleet:       fl,
 		Table:       table,
 		Provisioner: prov,
-		Router:      router,
 		Service:     service,
 		Scaler:      scaler,
 		Admission:   admission,
-		Scenario:    sc,
 		Observers:   cfg.observers,
 		TraceSrc:    traceSrc,
-		Cache:       spec.Cache,
-		Grid:        spec.Grid,
-		Opts:        spec.Options,
+		sc:          sc,
 	}
 	if spec.Options.TraceSample > 0 {
 		eng.Tracer = telemetry.NewTracer(spec.Options.Seed, spec.Options.TraceSample, 0)
@@ -427,7 +423,7 @@ const defaultPeakHour = 20.0
 // workloadsAt is Workloads with the diurnal peak shifted by phaseH
 // hours — the per-region day of a multi-region replay.
 func (e *Engine) workloadsAt(phaseH float64) []cluster.Workload {
-	spec := e.Spec.withDefaults()
+	spec := e.Spec
 	if e.TraceSrc != nil {
 		// A recorded day is its own workload description: per-model
 		// offered loads verbatim from the trace's offer records.

@@ -33,8 +33,8 @@ func TestSpecZeroValuesDeferToDefaults(t *testing.T) {
 	if e.Spec.Fleet != def.Fleet || e.Spec.Router != def.Router || e.Spec.Policy != def.Policy {
 		t.Errorf("zero spec normalized to %+v, want the DefaultSpec names", e.Spec)
 	}
-	if e.Opts != def.Options {
-		t.Errorf("zero Options must become DefaultOptions, got %+v", e.Opts)
+	if e.Spec.Options != def.Options {
+		t.Errorf("zero Options must become DefaultOptions, got %+v", e.Spec.Options)
 	}
 	if e.Scaler == nil || e.Scaler.Name() != "breach" {
 		t.Error("default scaler must be the breach autoscaler")
