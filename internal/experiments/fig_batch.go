@@ -198,7 +198,7 @@ func FigBatch(seed int64) (FigBatchResult, error) {
 				row := BatchCapacityRow{Server: server, Router: router, Batch: b}
 				for _, f := range batchLoadLadder {
 					offered := f * entry.QPS * batchPoolServers
-					queries := workload.NewGenerator(m, offered, mixSeed(seed, int64(b), hashString(server), int64(f*100))).Until(batchPoolSliceS)
+					queries := workload.NewGenerator(m, offered, stats.MixSeed(seed, int64(b), stats.HashString(server), int64(f*100))).Until(batchPoolSliceS)
 					sl := fleet.ReplaySlice(router, pools[b], queries, seed)
 					if sl.Dropped > 0 || len(sl.LatS) == 0 {
 						continue
@@ -320,25 +320,4 @@ func (r FigBatchResult) Render() string {
 	sb.WriteString(" load; the engine derives each pair's batch cap from its measured efficiency curve\n")
 	sb.WriteString(" and SLA budget, refusing pairs where batching loses)\n")
 	return sb.String()
-}
-
-// hashString / mixSeed mirror the fleet engine's deterministic seed
-// derivation for the sweep's independent query streams.
-func hashString(s string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return int64(h >> 1)
-}
-
-func mixSeed(seed int64, vals ...int64) int64 {
-	h := uint64(seed) ^ 0x9E3779B97F4A7C15
-	for _, v := range vals {
-		h ^= uint64(v) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-	}
-	return int64(h >> 1)
 }

@@ -11,10 +11,9 @@ import "math"
 // breaches: the whole point of shedding is that a rejected query is
 // cheaper than a query served past its deadline.
 //
-// The admission policies in admissionTable are selectable by name via
-// Spec.Admission; a nil Engine.Admission admits
-// everything, which is the default and replays bit-identically to the
-// pre-admission engine.
+// Spec.Admission names one of admissionTable's entries; a nil
+// Engine.Admission admits everything, which is the default and replays
+// bit-identically to the pre-admission engine.
 type Admission interface {
 	Name() string
 	// ShedFrac returns the fraction in [0, 1) of the model's arrivals
@@ -47,15 +46,15 @@ type AdmissionSignal struct {
 	DeferrableFrac  float64
 }
 
-// DeadlineAdmission is the deadline-aware shedding policy (registered
-// as "deadline"): when the previous interval's p99 overshot the
+// deadlineAdmission is the deadline-aware shedding policy (table name
+// "deadline"): when the previous interval's p99 overshot the
 // model's SLA — meaning the marginal query was already being served
 // past its deadline — it sheds a fraction proportional to the relative
 // overshoot, plus whatever fraction the bounded queues were already
 // dropping (those queries queued, aged, and died anyway; rejecting
 // them at the door frees their service time for queries that can still
 // make the deadline). A fleet inside its SLA sheds nothing.
-type DeadlineAdmission struct {
+type deadlineAdmission struct {
 	// Gain converts relative p99 overshoot into shed fraction
 	// (default 0.5: a p99 at 2× the SLA sheds half the stream, before
 	// the drop-fraction term).
@@ -64,17 +63,11 @@ type DeadlineAdmission struct {
 	MaxShed float64
 }
 
-// NewDeadlineAdmission returns a deadline-aware shedder with the
-// default tuning.
-func NewDeadlineAdmission() *DeadlineAdmission {
-	return &DeadlineAdmission{Gain: 0.5, MaxShed: 0.5}
-}
-
 // Name implements Admission.
-func (d *DeadlineAdmission) Name() string { return "deadline" }
+func (d *deadlineAdmission) Name() string { return "deadline" }
 
 // ShedFrac implements Admission.
-func (d *DeadlineAdmission) ShedFrac(sig AdmissionSignal) float64 {
+func (d *deadlineAdmission) ShedFrac(sig AdmissionSignal) float64 {
 	if sig.SLATargetMS <= 0 {
 		return 0
 	}

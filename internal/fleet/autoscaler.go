@@ -5,8 +5,9 @@ import "math"
 // Scaler is the online autoscaling policy the engine consults during a
 // replay. At each trace-interval boundary the engine hands it one
 // ScalerSignal and asks whether to re-provision early and with how much
-// extra over-provision headroom. The scalers in scalerTable are
-// selectable by name via Spec.Scaler; a nil Engine.Scaler disables early re-provisioning entirely (scheduled intervals only).
+// extra over-provision headroom. Spec.Scaler names one of scalerTable's
+// entries; a nil Engine.Scaler disables early re-provisioning entirely
+// (scheduled intervals only).
 type Scaler interface {
 	Name() string
 	// IntervalEnd advances the scaler one trace interval on that
@@ -39,7 +40,7 @@ type ScalerSignal struct {
 	GridMeanGPerKWh float64
 }
 
-// Autoscaler is the breach-driven scaler (registered as "breach"): it
+// breachScaler is the breach-driven scaler (table name "breach"): it
 // watches windowed tail latency during the replay and triggers early
 // re-provisioning when the fleet falls behind. Hercules re-provisions
 // on a coarse schedule (tens of minutes) to amortize workload setup;
@@ -50,7 +51,7 @@ type ScalerSignal struct {
 // over-provision rate boosted by BoostR; the boost stays in force for
 // exactly HoldIntervals intervals (the triggered re-provision plus
 // HoldIntervals−1 quiet ones), then decays.
-type Autoscaler struct {
+type breachScaler struct {
 	// Patience is the number of consecutive breached windows required
 	// to trigger (default 2 — one bad window can be sampling noise).
 	Patience int
@@ -68,26 +69,17 @@ type Autoscaler struct {
 	Events int
 }
 
-// NewAutoscaler returns a breach-driven autoscaler with the default
-// tuning.
-func NewAutoscaler() *Autoscaler {
-	return &Autoscaler{Patience: 2, BoostR: 0.25, HoldIntervals: 4}
-}
-
 // Name implements Scaler.
-func (a *Autoscaler) Name() string { return "breach" }
+func (a *breachScaler) Name() string { return "breach" }
 
 // TriggerCount implements Scaler.
-func (a *Autoscaler) TriggerCount() int { return a.Events }
+func (a *breachScaler) TriggerCount() int { return a.Events }
 
 // IntervalEnd implements Scaler: extend the breach streak over the
 // interval's windows, then report whether the engine must re-provision
 // early at the next boundary, plus the extra over-provision headroom
 // currently in force.
-func (a *Autoscaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
-	if a == nil {
-		return false, 0
-	}
+func (a *breachScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
 	for _, breached := range sig.Breached {
 		if !breached {
 			a.streak = 0
@@ -114,7 +106,7 @@ func (a *Autoscaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) 
 	return false, 0
 }
 
-// ProportionalScaler is the target-utilization scaler (registered as
+// proportionalScaler is the target-utilization scaler (table name
 // "prop"): instead of waiting for tails to breach, it holds the
 // fleet's mean service-channel utilization near TargetUtil by scaling
 // the over-provision headroom proportionally to the overshoot —
@@ -123,7 +115,7 @@ func (a *Autoscaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) 
 // one interval before a breach-driven scaler would (utilization climbs
 // before tails collapse) at the cost of chasing load the fleet could
 // have absorbed.
-type ProportionalScaler struct {
+type proportionalScaler struct {
 	// TargetUtil is the mean busy fraction the scaler steers toward
 	// (default 0.70 — M/G/c tails stay flat below it and take off
 	// beyond it).
@@ -142,21 +134,15 @@ type ProportionalScaler struct {
 	events  int
 }
 
-// NewProportionalScaler returns a target-utilization scaler with the
-// default tuning.
-func NewProportionalScaler() *ProportionalScaler {
-	return &ProportionalScaler{TargetUtil: 0.70, Gain: 1.0, MaxBoostR: 0.5, Hysteresis: 0.05}
-}
-
 // Name implements Scaler.
-func (p *ProportionalScaler) Name() string { return "prop" }
+func (p *proportionalScaler) Name() string { return "prop" }
 
 // TriggerCount implements Scaler.
-func (p *ProportionalScaler) TriggerCount() int { return p.events }
+func (p *proportionalScaler) TriggerCount() int { return p.events }
 
 // IntervalEnd implements Scaler: proportional control on the signal's
 // mean utilization.
-func (p *ProportionalScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
+func (p *proportionalScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
 	target := p.TargetUtil
 	if target <= 0 {
 		target = 0.70

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"hercules/internal/scenario"
+	"hercules/internal/stats"
 )
 
 // CacheSpec configures the request cache tier in front of routing —
@@ -179,27 +180,17 @@ func (e *Engine) cacheMissLoads(loads map[string]float64) map[string]float64 {
 	return out
 }
 
-// splitmix64 is the avalanche mixer behind the cache-hit hash (the
-// same construction the telemetry tracer samples with, on an
-// independent stream).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // cacheStreamSeed derives the per-(interval, model) hit-decision
 // stream. Membership is a pure function of (seed, interval, model,
 // query ID) — like trace sampling, no scheduling order can change
 // which queries hit.
 func cacheStreamSeed(seed int64, interval int, modelHash int64) uint64 {
-	return splitmix64(splitmix64(uint64(seed)^0xCAC4EDA7^uint64(interval)) ^ uint64(modelHash))
+	return stats.SplitMix64(stats.SplitMix64(uint64(seed)^0xCAC4EDA7^uint64(interval)) ^ uint64(modelHash))
 }
 
 // cacheHit decides one query's fate at the cache tier: a deterministic
 // Bernoulli draw at the interval's hit rate, hashed from the query's
 // identity.
 func cacheHit(stream uint64, queryID int64, hitRate float64) bool {
-	return float64(splitmix64(stream^uint64(queryID))>>11)/(1<<53) < hitRate
+	return float64(stats.SplitMix64(stream^uint64(queryID))>>11)/(1<<53) < hitRate
 }

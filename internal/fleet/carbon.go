@@ -6,7 +6,7 @@ import (
 	"hercules/internal/grid"
 )
 
-// CarbonScaler is the carbon-aware headroom policy (registered as
+// carbonScaler is the carbon-aware headroom policy (table name
 // "carbon"): it shapes the over-provision rate to the grid, holding
 // extra headroom through low-carbon hours (capacity is cheap in gCO2
 // then, and the slack absorbs the deferred work a carbon admission
@@ -20,7 +20,7 @@ import (
 // matter how dirty the hour — the policy trades carbon for slack, not
 // for SLA violations. Without a grid timeline the signal's intensities
 // are zero and the scaler degrades to that breach backstop alone.
-type CarbonScaler struct {
+type carbonScaler struct {
 	// CleanFrac is the fraction of the day's mean intensity at or
 	// below which an hour counts as clean (default 0.85): clean hours
 	// run with BoostR extra headroom.
@@ -48,27 +48,17 @@ type CarbonScaler struct {
 	events  int
 }
 
-// NewCarbonScaler returns a carbon-aware scaler with the default
-// tuning.
-func NewCarbonScaler() *CarbonScaler {
-	return &CarbonScaler{
-		CleanFrac: 0.85, DirtyFrac: 1.10,
-		BoostR: 0.25, LeanR: 0.10,
-		Patience: 2, HoldIntervals: 4,
-	}
-}
-
 // Name implements Scaler.
-func (c *CarbonScaler) Name() string { return "carbon" }
+func (c *carbonScaler) Name() string { return "carbon" }
 
 // TriggerCount implements Scaler.
-func (c *CarbonScaler) TriggerCount() int { return c.events }
+func (c *carbonScaler) TriggerCount() int { return c.events }
 
 // IntervalEnd implements Scaler: extend the latency backstop's breach
 // streak over the interval's windows, then pick the next interval's
 // headroom from its forecast intensity regime, unless the backstop is
 // in force.
-func (c *CarbonScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
+func (c *carbonScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64) {
 	for _, breached := range sig.Breached {
 		if !breached {
 			c.streak = 0
@@ -108,7 +98,7 @@ func (c *CarbonScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64
 	return true, want
 }
 
-// CarbonAdmission is the carbon-aware deferral policy (registered as
+// carbonAdmission is the carbon-aware deferral policy (table name
 // "carbon"): in hours dirtier than the day's mean it defers a ramp of
 // the *deferrable* query class — embedding-refresh and precompute
 // style work that tolerates hours of delay — never exceeding the
@@ -116,32 +106,26 @@ func (c *CarbonScaler) IntervalEnd(sig ScalerSignal) (early bool, extraR float64
 // The deferred work's later replay is not modeled; what the metric
 // sees is the deferrable load vanishing from the dirtiest hours, which
 // is precisely the carbon-aware scheduling lever of the HPCA line of
-// work. On top of the deferral ramp it keeps DeadlineAdmission's
+// work. On top of the deferral ramp it keeps deadlineAdmission's
 // overload term (scaled to the deferrable class) so a melting fleet
 // still sheds. Without a grid the signal's intensities are zero and
 // the policy admits everything but that overload term.
-type CarbonAdmission struct {
+type carbonAdmission struct {
 	// RampFrac is the relative overshoot of the day's mean intensity
 	// at which the entire deferrable class is deferred (default 0.30:
 	// at mean×1.30 every deferrable query waits for a cleaner hour;
 	// halfway up the ramp, half do).
 	RampFrac float64
 	// Gain converts relative p99 overshoot into extra shedding inside
-	// the deferrable class (default 0.5, as DeadlineAdmission).
+	// the deferrable class (default 0.5, as deadlineAdmission).
 	Gain float64
 }
 
-// NewCarbonAdmission returns a carbon-aware deferral policy with the
-// default tuning.
-func NewCarbonAdmission() *CarbonAdmission {
-	return &CarbonAdmission{RampFrac: 0.30, Gain: 0.5}
-}
-
 // Name implements Admission.
-func (c *CarbonAdmission) Name() string { return "carbon" }
+func (c *carbonAdmission) Name() string { return "carbon" }
 
 // ShedFrac implements Admission.
-func (c *CarbonAdmission) ShedFrac(sig AdmissionSignal) float64 {
+func (c *carbonAdmission) ShedFrac(sig AdmissionSignal) float64 {
 	defFrac := sig.DeferrableFrac
 	if defFrac <= 0 {
 		defFrac = grid.DefaultDeferrableFrac

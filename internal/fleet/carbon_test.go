@@ -16,7 +16,7 @@ import (
 )
 
 func TestCarbonScalerRegimes(t *testing.T) {
-	c := NewCarbonScaler()
+	c := defaultPolicy[*carbonScaler](scalerTable, "carbon")
 	mean := 300.0
 
 	// Clean hour: boost headroom (a regime change is an early trigger).
@@ -39,7 +39,7 @@ func TestCarbonScalerRegimes(t *testing.T) {
 }
 
 func TestCarbonScalerBreachBackstop(t *testing.T) {
-	c := NewCarbonScaler()
+	c := defaultPolicy[*carbonScaler](scalerTable, "carbon")
 	mean := 300.0
 	// Dirtiest possible hour, but the fleet is breaching: latency wins.
 	dirty := ScalerSignal{NextGridGPerKWh: mean * 2, GridMeanGPerKWh: mean}
@@ -65,7 +65,7 @@ func TestCarbonScalerBreachBackstop(t *testing.T) {
 }
 
 func TestCarbonAdmissionDeferralRamp(t *testing.T) {
-	a := NewCarbonAdmission()
+	a := defaultPolicy[*carbonAdmission](admissionTable, "carbon")
 	base := AdmissionSignal{Model: "m", SLATargetMS: 20, GridMeanGPerKWh: 300, DeferrableFrac: 0.25}
 
 	sig := base

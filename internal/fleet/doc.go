@@ -26,12 +26,14 @@
 //     builds engines this way, so a run is reproducible from one JSON
 //     document;
 //   - the policy tables — routing, autoscaling, admission and
-//     geo-routing policies are constructed by name (NewRouter,
-//     NewScaler, NewAdmission, NewGeoPolicy) from four read-only
-//     tables in registry.go, the closed set the paper compares:
-//     routers rr, least, p2c, hetero; scalers breach, prop, carbon;
-//     admission deadline, carbon; geo local, spill. A new policy is a
-//     type plus one table entry in this package;
+//     geo-routing policies are named by Spec fields (Router, Scaler,
+//     Admission, Geo) and built from four read-only tables in
+//     registry.go, the closed set the paper compares: routers rr,
+//     least, p2c, hetero; scalers breach, prop, carbon; admission
+//     deadline, carbon; geo local, spill. Every implementation is
+//     unexported, so the compiler keeps the set closed; a new policy
+//     is a type plus one table entry in this package. NewRouter builds
+//     one router by name for tools that route without an engine;
 //   - Engine / RunDay — replay a day of cluster.Workload traces and
 //     return per-interval and aggregate DayResult metrics;
 //   - Observer — the per-interval streaming hook: RunDay pushes each
@@ -43,12 +45,12 @@
 //   - Instance — one activated server as an M/G/c/(c+K) queue, with
 //     optional dynamic batching (EnableBatching / Options.MaxBatch);
 //   - Scaler — online autoscaling on one ScalerSignal per interval:
-//     the breach-driven Autoscaler, the target-utilization
-//     ProportionalScaler and the grid-following CarbonScaler ship
-//     built in;
+//     breach-driven ("breach"), target-utilization ("prop") and
+//     grid-following ("carbon") scalers ship built in;
 //   - Admission — SLA-aware load shedding at the front door
-//     (DeadlineAdmission sheds on the previous interval's deadline
-//     overshoot); nil admits everything;
+//     ("deadline" sheds on the previous interval's deadline
+//     overshoot, "carbon" defers the deferrable class in dirty
+//     hours); nil admits everything;
 //   - CalibrateTable — a seconds-scale serving table when the full
 //     Fig. 9b profiling run is too slow; CalibrateSpec calls it for a
 //     Spec's models on the server types of its fleet and every

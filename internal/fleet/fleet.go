@@ -367,11 +367,13 @@ type dayRun struct {
 	// The interval in flight between prepareInterval and
 	// finishInterval: its stats so far, scenario effects and their
 	// resolved fleet health, effective pools (live instances per
-	// model), slice length and replay tasks (model-name order).
+	// model), offered models (sorted), slice length and replay tasks
+	// (model-name order).
 	ist    IntervalStats
 	eff    scenario.Effects
 	health healthMap
 	pools  map[string][]*Instance
+	models []string
 	sliceS float64
 	tasks  []*poolTask
 }
@@ -402,7 +404,7 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 		r.res.Scenario = e.Timeline.Name
 	}
 	var err error
-	if e.newRouter, err = RouterFactory(e.Spec.Router); err != nil {
+	if e.newRouter, err = routerTable.lookup(e.Spec.Router); err != nil {
 		return err
 	}
 	if e.Service == nil {
@@ -553,7 +555,7 @@ func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 		EarlyReprovision: reprovision && r.earlyPending && !scheduled,
 		// extraR still holds the previous IntervalEnd's return — the
 		// boost headroom in force for exactly this interval. The
-		// Autoscaler's boostLeft already looks one interval ahead.
+		// breachScaler's boostLeft already looks one interval ahead.
 		Boosted:             r.extraR > 0,
 		ActiveServers:       r.active.ActiveServers,
 		DeadServers:         dead,
@@ -840,7 +842,7 @@ func (e *Engine) concurrency(serverType, modelName string, qps float64) int {
 		// (type, model) must calibrate identically regardless of which
 		// allocation introduced it first.
 		mean = meanServiceS(e.Service, serverType, modelName,
-			mixSeed(e.Spec.Options.Seed, 0x5eed, hashString(serverType), hashString(modelName)))
+			stats.MixSeed(e.Spec.Options.Seed, 0x5eed, stats.HashString(serverType), stats.HashString(modelName)))
 		e.meanSvc[k] = mean
 	}
 	if math.IsInf(mean, 0) || mean <= 0 || qps <= 0 {
@@ -1303,6 +1305,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		names = append(names, m)
 	}
 	sort.Strings(names)
+	e.run.models = names
 	// Sum in sorted-name order: float addition is not associative, so a
 	// map-range sum would make the slice budget (and everything seeded
 	// off it) depend on iteration order once three models share a day.
@@ -1346,7 +1349,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		if t.ring == nil {
 			t.ring = make([]workload.Query, ringSlots*chunkLen)
 		}
-		mh := hashString(m)
+		mh := stats.HashString(m)
 		t.modelName = m
 		t.model = e.models[m]
 		t.insts = pools[m]
@@ -1354,7 +1357,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 		t.pending = &scr.pending
 		// The <<8 is part of every recorded routing stream: changing it
 		// re-rolls the golden replays.
-		t.seed = mixSeed(e.Spec.Options.Seed, int64(idx), int64(mi)<<8)
+		t.seed = stats.MixSeed(e.Spec.Options.Seed, int64(idx), int64(mi)<<8)
 		t.windowW = windowW
 		t.sliceS = sliceS
 		t.maxBatch = max(e.Spec.Options.MaxBatch, 1)
@@ -1383,7 +1386,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			t.rec = e.TraceSrc.Queries(idx, m)
 		}
 		t.qps = loads[m]
-		t.genSeed = mixSeed(e.Spec.Options.Seed, 0x9e37+int64(idx), int64(mi))
+		t.genSeed = stats.MixSeed(e.Spec.Options.Seed, 0x9e37+int64(idx), int64(mi))
 		t.sizeScale = eff.Size(m)
 		// Two shedding sources compose at the door: the scenario's
 		// load-shedding drills and the engine's admission policy (which
@@ -1409,7 +1412,7 @@ func (e *Engine) buildTasks(idx int, loads map[string]float64, pools map[string]
 			frac = 1 - (1-frac)*(1-af)
 		}
 		t.shedFrac = frac
-		t.shedSeed = mixSeed(e.Spec.Options.Seed, 0x5ed0+int64(idx), int64(mi))
+		t.shedSeed = stats.MixSeed(e.Spec.Options.Seed, 0x5ed0+int64(idx), int64(mi))
 	}
 	return tasks
 }
@@ -1484,11 +1487,11 @@ func (e *Engine) finishInterval() {
 	r := e.run
 	ist := &r.ist
 	var breached []bool
+	// Profiles attribute the drain, merge and sweep to one stage. The
+	// caller's goroutine is left unlabelled afterwards: its own labels
+	// cannot be read back to restore.
+	pprof.SetGoroutineLabels(mergeLabels)
 	if len(r.tasks) > 0 {
-		// Profiles attribute the drain, merge and sweep to one stage. The
-		// caller's goroutine is left unlabelled afterwards: its own
-		// labels cannot be read back to restore.
-		pprof.SetGoroutineLabels(mergeLabels)
 		// Flushing per interval streams exports instead of accumulating
 		// a day.
 		if tr := e.Tracer; tr != nil {
@@ -1501,11 +1504,9 @@ func (e *Engine) finishInterval() {
 			tr.Flush()
 		}
 		breached = e.mergeTails(r.tasks)
-		e.sweepEnergy(r.tasks)
-		pprof.SetGoroutineLabels(context.Background())
-	} else {
-		e.sweepIdle()
 	}
+	e.sweepEnergy()
+	pprof.SetGoroutineLabels(context.Background())
 	if e.gridTL != nil {
 		ist.GridGPerKWh = e.gridTL.At(ist.Index)
 		ist.CarbonG = power.CarbonG(ist.EnergyKJ, ist.GridGPerKWh)
@@ -1615,50 +1616,37 @@ func (e *Engine) mergeTails(tasks []*poolTask) []bool {
 	return breached
 }
 
-// sweepEnergy prices the interval's energy: every activated instance
-// idles for the whole interval and adds utilization-proportional
+// sweepEnergy prices the interval's energy: every live instance of the
+// effective pools, in model-name order, idles for the whole interval
+// and, when the interval replayed load, adds utilization-proportional
 // dynamic power up to its profiled provisioned budget. The same sweep
-// measures the fleet's mean channel utilization for the scaler signal.
-func (e *Engine) sweepEnergy(tasks []*poolTask) {
+// measures the fleet's mean channel utilization for the scaler signal;
+// an interval without load keeps the last loaded interval's.
+func (e *Engine) sweepEnergy() {
 	r := e.run
+	loaded := len(r.tasks) > 0
 	var watts, utilSum float64
 	nInsts := 0
-	for _, t := range tasks {
-		for _, in := range t.insts {
-			idle := e.typeWatts(in.Type).idle
-			peak := idle
-			if entry, ok := e.Table.Get(in.Type, in.Model); ok {
-				peak = math.Max(entry.PowerW, idle)
+	for _, m := range r.models {
+		for _, in := range r.pools[m] {
+			w := e.typeWatts(in.Type).idle
+			if loaded {
+				peak := w
+				if entry, ok := e.Table.Get(in.Type, in.Model); ok {
+					peak = math.Max(entry.PowerW, w)
+				}
+				u := in.Utilization(r.sliceS)
+				w += (peak - w) * u
+				utilSum += u
+				nInsts++
 			}
-			u := in.Utilization(r.sliceS)
-			watts += e.cappedWatts(in.Type, idle+(peak-idle)*u)
-			utilSum += u
-			nInsts++
+			watts += e.cappedWatts(in.Type, w)
 		}
 	}
 	r.ist.EnergyKJ = watts * r.stepS / 1e3
 	if nInsts > 0 {
 		e.util = utilSum / float64(nInsts)
 	}
-}
-
-// sweepIdle prices an interval with no offered load: every live
-// instance of the effective pools idles for the whole interval. The
-// scaler's utilization keeps the last interval that had load.
-func (e *Engine) sweepIdle() {
-	r := e.run
-	models := make([]string, 0, len(r.pools))
-	for m := range r.pools {
-		models = append(models, m)
-	}
-	sort.Strings(models)
-	var watts float64
-	for _, m := range models {
-		for _, in := range r.pools[m] {
-			watts += e.cappedWatts(in.Type, e.typeWatts(in.Type).idle)
-		}
-	}
-	r.ist.EnergyKJ = watts * r.stepS / 1e3
 }
 
 // cappedWatts clamps a server's draw to its type's powercap share. The
@@ -1682,15 +1670,15 @@ type SliceResult struct {
 }
 
 // ReplaySlice routes one query stream (in arrival order) over the
-// given instances with a fresh router of the given registered name:
+// given instances with a fresh router of the given routerTable name:
 // one pool task of the replay loop RunDay runs, exported for tests and
 // tools that want router behavior without provisioning. Batching
 // instances (EnableBatching) are served through the dynamic-batching
-// path, including the end-of-slice drain of forming batches. An
-// unregistered router name panics: callers pass compile-time policy
+// path, including the end-of-slice drain of forming batches. A router
+// name missing from the table panics: callers pass compile-time policy
 // names, never user input (route user input through ParseRouter).
 func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query, seed int64) SliceResult {
-	newRouter, err := RouterFactory(routerName)
+	newRouter, err := routerTable.lookup(routerName)
 	if err != nil {
 		panic(err)
 	}
@@ -1706,26 +1694,4 @@ func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query,
 		lat[i] /= 1e3
 	}
 	return SliceResult{LatS: lat, Served: len(queries) - t.dropped, Dropped: t.dropped}
-}
-
-// hashString folds a string into a seed component (FNV-1a).
-func hashString(s string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return int64(h >> 1)
-}
-
-// mixSeed derives a deterministic sub-seed (splitmix64-style) so
-// intervals and models draw from independent streams.
-func mixSeed(seed int64, vals ...int64) int64 {
-	h := uint64(seed) ^ 0x9E3779B97F4A7C15
-	for _, v := range vals {
-		h ^= uint64(v) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-	}
-	return int64(h >> 1)
 }

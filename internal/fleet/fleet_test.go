@@ -178,7 +178,7 @@ func breachRun(n int) ScalerSignal {
 }
 
 func TestAutoscalerWindowLogic(t *testing.T) {
-	a := NewAutoscaler()
+	a := defaultPolicy[*breachScaler](scalerTable, "breach")
 	a.Patience = 3
 	// The clean window resets the streak; the last breach carries over.
 	if early, _ := a.IntervalEnd(breaches(true, true, false, true)); early {
@@ -210,7 +210,7 @@ func TestAutoscalerWindowLogic(t *testing.T) {
 // HoldIntervals+1.
 func TestAutoscalerBoostWindowExact(t *testing.T) {
 	for _, hold := range []int{1, 2, 4} {
-		a := NewAutoscaler()
+		a := defaultPolicy[*breachScaler](scalerTable, "breach")
 		a.HoldIntervals = hold
 		sig := breachRun(a.Patience)
 		boosted := 0

@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"sort"
+
+	"hercules/internal/stats"
 )
 
 // RegionSignal is what a geo policy sees of one region at an interval
@@ -125,5 +127,5 @@ func (spillGeo) Route(sig GeoSignal) [][]float64 {
 // pure function of (seed, interval, model, query ID), independent of
 // scheduling.
 func remoteStreamSeed(seed int64, interval int, modelHash int64) uint64 {
-	return splitmix64(splitmix64(uint64(seed)^0x6E00B177^uint64(interval)) ^ uint64(modelHash))
+	return stats.SplitMix64(stats.SplitMix64(uint64(seed)^0x6E00B177^uint64(interval)) ^ uint64(modelHash))
 }

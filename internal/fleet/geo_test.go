@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hercules/internal/stats"
 )
 
 // threeRegions is the spill-policy unit fixture: a hot source, a near
@@ -26,7 +28,7 @@ func threeRegions(hotBlackout bool) GeoSignal {
 func TestGeoRegistry(t *testing.T) {
 	// Both built-ins resolve and report their table names.
 	for _, name := range []string{GeoLocal, GeoSpill} {
-		g, err := NewGeoPolicy(name)
+		g, err := geoTable.build(name)
 		if err != nil {
 			t.Fatalf("built-in geo policy %q not registered: %v", name, err)
 		}
@@ -38,7 +40,7 @@ func TestGeoRegistry(t *testing.T) {
 	if len(names) < 2 {
 		t.Errorf("GeoPolicyNames() = %v, want at least local and spill", names)
 	}
-	if _, err := NewGeoPolicy("no-such-geo"); err == nil ||
+	if _, err := geoTable.build("no-such-geo"); err == nil ||
 		!strings.Contains(err.Error(), GeoLocal) || !strings.Contains(err.Error(), GeoSpill) {
 		t.Errorf("unknown geo policy error must list registrations, got %v", err)
 	}
@@ -107,7 +109,7 @@ func TestGeoSpillBlackout(t *testing.T) {
 // stream must differ from the cache stream and across intervals and
 // models, so the two Bernoulli draws cannot correlate.
 func TestRemoteStreamSeedIndependence(t *testing.T) {
-	mh := hashString("DLRM-RMC1")
+	mh := stats.HashString("DLRM-RMC1")
 	if remoteStreamSeed(1, 3, mh) == cacheStreamSeed(1, 3, mh) {
 		t.Error("remote and cache streams collide for the same (seed, interval, model)")
 	}

@@ -8,6 +8,7 @@ import (
 	"hercules/internal/cluster"
 	"hercules/internal/profiler"
 	"hercules/internal/scenario"
+	"hercules/internal/stats"
 )
 
 // MultiEngine replays a multi-region day: one Engine per RegionSpec,
@@ -53,7 +54,7 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 	if nspec.Trace != "" {
 		return nil, fmt.Errorf("fleet: recorded traces replay single-region (trace %q); drop the regions or the trace", nspec.Trace)
 	}
-	geo, err := NewGeoPolicy(nspec.Geo)
+	geo, err := geoTable.build(nspec.Geo)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 			rs.Scenario = ""
 			// Salt each region's seed: two regions are different
 			// populations, not mirrored replicas of one noise stream.
-			rs.Options.Seed = mixSeed(nspec.Options.Seed, 0x9e0, hashString(r.Name))
+			rs.Options.Seed = stats.MixSeed(nspec.Options.Seed, 0x9e0, stats.HashString(r.Name))
 		}
 		eng, err := NewEngine(rs, opts...)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 // inside it (zero overshoot, zero shed), and a zero-drop interval sheds
 // purely on overshoot.
 func TestDeadlineAdmissionEdgeCases(t *testing.T) {
-	d := NewDeadlineAdmission()
+	d := defaultPolicy[*deadlineAdmission](admissionTable, "deadline")
 	if d.Gain != 0.5 || d.MaxShed != 0.5 {
 		t.Fatalf("default tuning changed: gain=%g maxShed=%g", d.Gain, d.MaxShed)
 	}
@@ -55,7 +55,7 @@ func TestDeadlineAdmissionEdgeCases(t *testing.T) {
 // TestDeadlineAdmissionCustomTuning: Gain scales the overshoot term and
 // MaxShed caps the sum, independent of the defaults.
 func TestDeadlineAdmissionCustomTuning(t *testing.T) {
-	d := &DeadlineAdmission{Gain: 2, MaxShed: 0.9}
+	d := &deadlineAdmission{Gain: 2, MaxShed: 0.9}
 	sig := AdmissionSignal{SLATargetMS: 10, PrevP99MS: 12.5} // 25% overshoot
 	if got := d.ShedFrac(sig); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("gain 2 at 25%% overshoot: %g, want 0.5", got)
@@ -69,8 +69,8 @@ func TestDeadlineAdmissionCustomTuning(t *testing.T) {
 // propScaler returns a scaler with dyadic tuning so the hysteresis
 // comparisons in the test are exact in float64: want = (util-0.5)/0.5,
 // and utilizations chosen as multiples of 1/16 give exact wants.
-func propScaler() *ProportionalScaler {
-	return &ProportionalScaler{TargetUtil: 0.5, Gain: 1, MaxBoostR: 0.5, Hysteresis: 0.25}
+func propScaler() *proportionalScaler {
+	return &proportionalScaler{TargetUtil: 0.5, Gain: 1, MaxBoostR: 0.5, Hysteresis: 0.25}
 }
 
 // TestProportionalScalerHysteresisBoundary pins the hold-window edge:
@@ -124,12 +124,12 @@ func TestProportionalScalerClampsAndDefaults(t *testing.T) {
 	if early, extra := p.IntervalEnd(ScalerSignal{Utilization: 2.0}); !early || extra != 0.5 {
 		t.Errorf("overload: early=%v extra=%g, want trigger at cap 0.5", early, extra)
 	}
-	zero := &ProportionalScaler{Gain: 1, MaxBoostR: 0.5, Hysteresis: 0.05}
+	zero := &proportionalScaler{Gain: 1, MaxBoostR: 0.5, Hysteresis: 0.05}
 	// At the fallback target: want 0.
 	if early, extra := zero.IntervalEnd(ScalerSignal{Utilization: 0.70}); early || extra != 0 {
 		t.Errorf("zero target must fall back to 0.70: early=%v extra=%g", early, extra)
 	}
-	d := NewProportionalScaler()
+	d := defaultPolicy[*proportionalScaler](scalerTable, "prop")
 	if d.TargetUtil != 0.70 || d.Gain != 1.0 || d.MaxBoostR != 0.5 || d.Hysteresis != 0.05 {
 		t.Errorf("default tuning changed: %+v", d)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Names of the built-in routing policies. A router is selected by its
-// registered name (Spec.Router, ParseRouter, RouterFactory); these
+// routerTable name (Spec.Router, ParseRouter, NewRouter); these
 // constants exist so in-repo callers don't scatter string literals.
 const (
 	// RoundRobin cycles through the model's instances regardless of
@@ -36,7 +36,7 @@ const (
 // order; RouterNames() lists the same set sorted.
 var AllRouters = []string{RoundRobin, LeastOutstanding, PowerOfTwo, WeightedHetero}
 
-// routerAliases maps accepted long spellings to registered names.
+// routerAliases maps accepted long spellings to table names.
 var routerAliases = map[string]string{
 	"round-robin":         RoundRobin,
 	"roundrobin":          RoundRobin,
@@ -50,14 +50,14 @@ var routerAliases = map[string]string{
 
 // ParseRouter normalizes a router name (case, whitespace, the long
 // aliases of the built-ins) and validates it against routerTable,
-// returning the canonical registered name. The error on an unknown
-// name lists every registered router.
+// returning the canonical table name. The error on an unknown name
+// lists every router in the table.
 func ParseRouter(s string) (string, error) {
 	name := strings.ToLower(strings.TrimSpace(s))
 	if canon, ok := routerAliases[name]; ok {
 		name = canon
 	}
-	if _, err := RouterFactory(name); err != nil {
+	if _, err := routerTable.lookup(name); err != nil {
 		return "", err
 	}
 	return name, nil

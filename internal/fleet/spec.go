@@ -307,7 +307,7 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		spec.Fleet = spec.Regions[0].Fleet
 	}
 	if spec.Geo != "" {
-		if _, err := lookup(geoTable, "geo policy", spec.Geo); err != nil {
+		if _, err := geoTable.lookup(spec.Geo); err != nil {
 			return nil, err
 		}
 	}
@@ -390,7 +390,7 @@ func specScaler(name string) (Scaler, error) {
 	if name == "none" {
 		return nil, nil
 	}
-	return NewScaler(name)
+	return scalerTable.build(name)
 }
 
 // specAdmission resolves a spec's admission-policy name ("none"
@@ -399,7 +399,7 @@ func specAdmission(name string) (Admission, error) {
 	if name == "none" {
 		return nil, nil
 	}
-	return NewAdmission(name)
+	return admissionTable.build(name)
 }
 
 // Workloads synthesizes the engine's diurnal day from its spec: one

@@ -99,7 +99,7 @@ func TestProportionalScalerReprovisions(t *testing.T) {
 		Trace: stepTrace(200, 2400, 2400, 2400, 2400, 2400, 2400, 2400),
 	}}
 	e := testEngine(PowerOfTwo, testOpts())
-	e.Scaler = NewProportionalScaler()
+	e.Scaler = scalerTable.factories["prop"]()
 	res, err := e.RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestDeadlineAdmissionShedsUnderOverload(t *testing.T) {
 	}
 	e := testEngine(PowerOfTwo, testOpts())
 	e.Scaler = nil
-	e.Admission = NewDeadlineAdmission()
+	e.Admission = admissionTable.factories["deadline"]()
 	res, err := e.RunDay(ws)
 	if err != nil {
 		t.Fatal(err)

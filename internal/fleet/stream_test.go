@@ -65,7 +65,7 @@ func streamTask(n int, recorded bool, shedFrac float64, shedSeed int64) *poolTas
 		w.fromTrace = true
 		w.rec = workload.NewGenerator(m, qps, genSeed).Until(w.sliceS)
 	}
-	w.door.Arm(telemetry.NewTracer(1, 1, 0), 0, m.Name, hashString(m.Name))
+	w.door.Arm(telemetry.NewTracer(1, 1, 0), 0, m.Name, stats.HashString(m.Name))
 	w.traceOn = true
 	return w
 }
@@ -74,7 +74,7 @@ func streamTask(n int, recorded bool, shedFrac float64, shedSeed int64) *poolTas
 // the door events the thinning emits.
 func oneShot(w *poolTask) ([]workload.Query, []telemetry.Event, int) {
 	var door telemetry.ShardBuf
-	door.Arm(telemetry.NewTracer(1, 1, 0), 0, w.model.Name, hashString(w.model.Name))
+	door.Arm(telemetry.NewTracer(1, 1, 0), 0, w.model.Name, stats.HashString(w.model.Name))
 	ev := door.Emit(telemetry.KindOffer, -1, 0)
 	ev.Value, ev.Aux = w.qps, w.sliceS
 	qs := workload.NewGenerator(w.model, w.qps, w.genSeed).Until(w.sliceS)

@@ -221,7 +221,7 @@ func TestTracedDropInstance(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			w.rec = append(w.rec, workload.Query{ID: int64(i), Size: 100, SparseScale: 1})
 		}
-		w.trace.Arm(telemetry.NewTracer(1, 1, 0), 0, "DLRM-RMC1", hashString("DLRM-RMC1"))
+		w.trace.Arm(telemetry.NewTracer(1, 1, 0), 0, "DLRM-RMC1", stats.HashString("DLRM-RMC1"))
 		w.traceOn = true
 		w.run()
 		drops := 0

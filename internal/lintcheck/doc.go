@@ -19,10 +19,6 @@
 //   - maporder: no ranging over a map whose body appends to a slice,
 //     writes an exported result field, or emits output/telemetry,
 //     unless a deterministic sort follows in the same block.
-//   - registryuse: policy implementations (Router / Scaler /
-//     Admission / GeoPolicy) are resolved by name through the fleet
-//     policy tables, never constructed directly outside their own
-//     package.
 //   - obscontract: Observer implementations neither spawn goroutines
 //     nor retain the per-interval snapshot past the callback.
 //
@@ -45,8 +41,7 @@
 // (as "lintdirective" diagnostics, which cannot be suppressed).
 //
 // Analyzers run over production code only; _test.go files are exempt
-// (tests pin the same contracts dynamically and may construct policies
-// directly). cmd/hercules-lint is the multichecker binary; CI runs it
+// (tests pin the same contracts dynamically). cmd/hercules-lint is the multichecker binary; CI runs it
 // as a blocking job next to gofmt and go vet. Fixture packages under
 // testdata/src/ give every analyzer analysistest-style coverage with
 // both flagged and allowed cases.

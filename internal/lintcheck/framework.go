@@ -64,13 +64,12 @@ func (f Finding) String() string {
 // be suppressed.
 const DirectiveName = "lintdirective"
 
-// All returns the full hercules-lint suite: the four repo-contract
+// All returns the full hercules-lint suite: the three repo-contract
 // analyzers plus the local shadow and nilness passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		WallclockAnalyzer,
 		MaporderAnalyzer,
-		RegistryuseAnalyzer,
 		ObscontractAnalyzer,
 		ShadowAnalyzer,
 		NilnessAnalyzer,

@@ -21,6 +21,24 @@ var ObscontractAnalyzer = &Analyzer{
 	Run: runObscontract,
 }
 
+// fleetPkgPath is the package owning the Observer contract (the
+// fixtures stub it under the same import path).
+const fleetPkgPath = "hercules/internal/fleet"
+
+// fleetPackage returns the fleet package visible to this pass: the
+// package itself when analyzing fleet, otherwise the direct import.
+func fleetPackage(pass *Pass) *types.Package {
+	if pass.Pkg.Path() == fleetPkgPath {
+		return pass.Pkg
+	}
+	for _, imp := range pass.Pkg.Imports() {
+		if imp.Path() == fleetPkgPath {
+			return imp
+		}
+	}
+	return nil
+}
+
 // intervalStatsType resolves fleet.IntervalStats as seen by this pass.
 func intervalStatsType(pass *Pass) types.Object {
 	fleet := fleetPackage(pass)

@@ -1,9 +1,11 @@
 // Package stats provides small statistical utilities used throughout the
 // Hercules simulator: percentile estimation over sample sets, fixed-bin
-// histograms, running means, and deterministic RNG construction.
+// histograms, deterministic RNG construction and seed mixing.
 //
 // All simulator randomness flows through rand.Rand instances created by
-// NewRand so that every experiment is reproducible given its seed.
+// NewRand, seeded by MixSeed/HashString sub-seeds, or through
+// SplitMix64 hashes of a query's identity, so that every experiment is
+// reproducible given its seed.
 //
 // The surface: Sample collects values and answers percentile queries
 // (the tail-latency plumbing of every layer); PercentileSorted reads a
@@ -17,9 +19,7 @@
 // interval tails). PercentileSelect and PercentilesSelect are its
 // one-buffer forms over a pooled Selector, and Sketch is the
 // bounded-error mergeable quantile sketch behind the telemetry
-// histograms. Histogram and Welford cover
-// binned distributions and running moments; NewZipf/ZipfMass back the
-// hot-embedding skew of internal/partition; Lognormal, Poisson and
+// histograms. Histogram covers binned distributions; Lognormal and
 // Exponential are the seeded draws the workload generators use; Clamp
 // and ClampInt are shared bounds helpers.
 package stats

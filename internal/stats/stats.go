@@ -14,6 +14,40 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// SplitMix64 is the splitmix64 finalizer, the avalanche mixer behind
+// every per-query hash draw (cache hits, remote origins, trace
+// sampling): each output bit depends on every input bit.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
+// MixSeed derives a deterministic sub-seed (splitmix64-style) from a
+// seed and any number of stream coordinates, so intervals, models and
+// sweep cells draw from independent streams.
+func MixSeed(seed int64, vals ...int64) int64 {
+	h := uint64(seed) ^ 0x9E3779B97F4A7C15
+	for _, v := range vals {
+		h ^= uint64(v) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
+		h *= 0xBF58476D1CE4E5B9
+		h ^= h >> 27
+	}
+	return int64(h >> 1)
+}
+
+// HashString folds a string into a non-negative seed coordinate
+// (FNV-1a).
+func HashString(s string) int64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return int64(h >> 1)
+}
+
 // Sample accumulates float64 observations and answers order-statistic
 // queries. It keeps all samples; simulations here are small enough
 // (≤ a few million observations) that exact percentiles are affordable
@@ -204,39 +238,6 @@ func (h *Histogram) Table() string {
 	return sb.String()
 }
 
-// Welford implements an online mean/variance accumulator (Welford's
-// algorithm) for streams where storing samples is unnecessary.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -265,33 +266,6 @@ func Lognormal(r *rand.Rand, mu, sigma float64) float64 {
 	return math.Exp(r.NormFloat64()*sigma + mu)
 }
 
-// Poisson draws a Poisson-distributed count with mean lambda. It uses
-// Knuth's product method for small lambda and a normal approximation for
-// large lambda, which is ample for arrival-count generation.
-func Poisson(r *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		// Normal approximation with continuity correction.
-		k := int(math.Round(r.NormFloat64()*math.Sqrt(lambda) + lambda))
-		if k < 0 {
-			k = 0
-		}
-		return k
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Exponential draws an exponential variate with the given rate (events
 // per unit time). Used for Poisson inter-arrival gaps.
 func Exponential(r *rand.Rand, rate float64) float64 {
@@ -299,50 +273,4 @@ func Exponential(r *rand.Rand, rate float64) float64 {
 		return math.Inf(1)
 	}
 	return r.ExpFloat64() / rate
-}
-
-// Zipf draws integers in [0, n) following a Zipfian distribution with
-// exponent s > 0. Used for hot-embedding access skew.
-type Zipf struct {
-	n   int
-	cdf []float64
-}
-
-// NewZipf precomputes the CDF for a Zipf(s) distribution over n items.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		n = 1
-	}
-	z := &Zipf{n: n, cdf: make([]float64, n)}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		z.cdf[i] = sum
-	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
-	}
-	return z
-}
-
-// Draw samples one index.
-func (z *Zipf) Draw(r *rand.Rand) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(z.cdf, u)
-	if i >= z.n {
-		i = z.n - 1
-	}
-	return i
-}
-
-// CumulativeMass returns the probability mass of the first k items —
-// i.e. the fraction of accesses a hot set of size k absorbs.
-func (z *Zipf) CumulativeMass(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k > z.n {
-		k = z.n
-	}
-	return z.cdf[k-1]
 }

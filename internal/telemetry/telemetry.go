@@ -1,5 +1,7 @@
 package telemetry
 
+import "hercules/internal/stats"
+
 // Kind identifies one lifecycle point in a traced query's path through
 // the fleet engine.
 type Kind uint8
@@ -161,18 +163,10 @@ func (t *Tracer) AddSink(s Sink) { t.sinks = append(t.sinks, s) }
 // unchanged.
 func (t *Tracer) SetRegion(region string) { t.region = region }
 
-// splitmix64 is the avalanche mixer behind the sampling hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // streamSeed derives the per-(interval, model) sampling stream a
 // model's ShardBuf is armed with.
 func (t *Tracer) streamSeed(interval int, modelHash int64) uint64 {
-	return splitmix64(splitmix64(uint64(t.seed)^uint64(interval)) ^ uint64(modelHash))
+	return stats.SplitMix64(stats.SplitMix64(uint64(t.seed)^uint64(interval)) ^ uint64(modelHash))
 }
 
 // sampledIn reports whether the query with the given per-stream index
@@ -183,7 +177,7 @@ func sampledIn(stream uint64, queryID int64, n int) bool {
 	if n <= 1 {
 		return true
 	}
-	return splitmix64(stream^uint64(queryID))%uint64(n) == 0
+	return stats.SplitMix64(stream^uint64(queryID))%uint64(n) == 0
 }
 
 // Ingest stages one buffer's events for the next Flush. Called on the

@@ -61,7 +61,7 @@ func TestGeneratorPoissonRate(t *testing.T) {
 
 func TestGeneratorSparseScaleMeanOne(t *testing.T) {
 	g := NewGenerator(model.DLRMRMC1(model.Prod), 100, 4)
-	var w stats.Welford
+	w := stats.NewSample(5000)
 	for i := 0; i < 5000; i++ {
 		w.Add(g.Next().SparseScale)
 	}
@@ -113,7 +113,7 @@ func TestPoolingFactorVariance(t *testing.T) {
 	// Fig. 2c: pooling factors exhibit large variance.
 	m := model.DLRMRMC2(model.Prod)
 	r := stats.NewRand(7)
-	var w stats.Welford
+	w := stats.NewSample(0)
 	for i := 0; i < 500; i++ {
 		for _, p := range PoolingFactors(r, m, 1.0) {
 			w.Add(float64(p))
