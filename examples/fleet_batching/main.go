@@ -26,7 +26,6 @@ import (
 	"hercules/internal/fleet"
 	"hercules/internal/hw"
 	"hercules/internal/model"
-	"hercules/internal/scenario"
 	"hercules/internal/workload"
 )
 
@@ -51,22 +50,20 @@ func main() {
 		NoiseStd: 0.02, Seed: 42,
 	}
 	ws := []cluster.Workload{{Model: m.Name, Trace: workload.Synthesize(cfg)}}
-	crowd := scenario.Scenario{Name: "flashcrowd", Events: []scenario.Event{
-		{Kind: scenario.Spike, StartH: 9, EndH: 11.5, RampH: 0.5, Factor: 2.5},
-	}}
+	// The scenario rides in the spec as inline JSON (scenario.Parse);
+	// RunDay compiles it against the day's geometry.
+	crowd := `{"name":"flashcrowd","events":[{"kind":"spike","start_h":9,"end_h":11.5,"ramp_h":0.5,"factor":2.5}]}`
 
-	run := func(maxBatch int, sc scenario.Scenario) fleet.DayResult {
+	run := func(maxBatch int, sc string) fleet.DayResult {
 		spec := fleet.DefaultSpec()
 		spec.Router = fleet.PowerOfTwo
 		spec.Scaler = "none" // equal fleet across batch settings
 		spec.Options.MaxQueriesPerInterval = 40000
 		spec.Options.MaxBatch = maxBatch
 		spec.Options.BatchWaitS = 0.002
+		spec.Scenario = sc
 		eng, err := fleet.NewEngine(spec, fleet.WithTable(table), fleet.WithFleet(fl))
 		if err != nil {
-			fatal(err)
-		}
-		if err := eng.ApplyScenario(sc, ws); err != nil {
 			fatal(err)
 		}
 		day, err := eng.RunDay(ws)
@@ -78,7 +75,7 @@ func main() {
 
 	fmt.Printf("%-12s %-6s %14s %9s %12s %11s\n",
 		"day", "batch", "sla_viol_min", "drop_pct", "mean_p95_ms", "max_p99_ms")
-	for _, sc := range []scenario.Scenario{{Name: "baseline"}, crowd} {
+	for _, sc := range []string{"baseline", crowd} {
 		for _, b := range []int{1, 16} {
 			day := run(b, sc)
 			fmt.Printf("%-12s %-6d %14.1f %9.3f %12.1f %11.1f\n",

@@ -9,7 +9,6 @@ import (
 	"hercules/internal/hw"
 	"hercules/internal/model"
 	"hercules/internal/profiler"
-	"hercules/internal/scenario"
 	"hercules/internal/stats"
 	"hercules/internal/workload"
 )
@@ -117,19 +116,16 @@ func batchWorkloads(table *profiler.Table, seed int64) []cluster.Workload {
 	return []cluster.Workload{{Model: batchModel, Trace: workload.Synthesize(cfg)}}
 }
 
-// batchSpike compiles one day-replay load regime: a factor-f spike
-// from hour 9 to 11.5 with half-hour ramps — inside the stale window
-// of the hour-8 scheduled allocation.
-func batchSpike(factor float64) scenario.Scenario {
+// batchSpike is one day-replay load regime as a Spec.Scenario: a
+// factor-f spike from hour 9 to 11.5 with half-hour ramps — inside the
+// stale window of the hour-8 scheduled allocation — in the inline JSON
+// form scenario.Parse reads.
+func batchSpike(factor float64) string {
 	if factor == 1 {
-		return scenario.Scenario{Name: "baseline"}
+		return "baseline"
 	}
-	return scenario.Scenario{
-		Name: fmt.Sprintf("spike-x%.2f", factor),
-		Events: []scenario.Event{
-			{Kind: scenario.Spike, StartH: 9, EndH: 11.5, RampH: 0.5, Factor: factor},
-		},
-	}
+	return fmt.Sprintf(`{"name":"spike-x%.2f","events":[{"kind":"spike","start_h":9,"end_h":11.5,"ramp_h":0.5,"factor":%v}]}`,
+		factor, factor)
 }
 
 // BatchCapacityRow is one cell of the latency-bounded-throughput
@@ -225,15 +221,12 @@ func FigBatch(seed int64) (FigBatchResult, error) {
 	// Part 2: full-day replays under the spike timelines.
 	ws := batchWorkloads(table, seed)
 	for _, factor := range BatchSpikes {
-		sc := batchSpike(factor)
 		for _, r := range BatchRouters {
 			for _, b := range []int{1, BatchSizes[len(BatchSizes)-1]} {
-				eng, err := fleet.NewEngine(batchSpec(r, seed, b),
-					fleet.WithTable(table), fleet.WithFleet(BatchFleet()))
+				spec := batchSpec(r, seed, b)
+				spec.Scenario = batchSpike(factor)
+				eng, err := fleet.NewEngine(spec, fleet.WithTable(table), fleet.WithFleet(BatchFleet()))
 				if err != nil {
-					return res, err
-				}
-				if err := eng.ApplyScenario(sc, ws); err != nil {
 					return res, err
 				}
 				day, err := eng.RunDay(ws)

@@ -55,10 +55,11 @@
 //     Fig. 9b profiling run is too slow; CalibrateSpec calls it for a
 //     Spec's models on the server types of its fleet and every
 //     region's fleet;
-//   - ApplyScenario / Engine.Timeline — inject an internal/scenario
-//     timeline (flash crowds, failures, derates, shedding, cache
-//     flushes) into the replay (Spec.Scenario names one and RunDay
-//     compiles it);
+//   - Spec.Scenario — the one way an internal/scenario timeline
+//     (flash crowds, failures, derates, shedding, cache flushes)
+//     enters the replay: a built-in name, @file.json or inline JSON,
+//     compiled per region (scenario.CompileRegions) by every RunDay
+//     against that day's geometry;
 //   - TraceSource / LoadTrace — replay a recorded NDJSON arrival
 //     trace (Spec.Trace, or WithTraceSource for an in-memory one) in
 //     place of the synthetic generator; re-ingesting a day recorded
@@ -84,8 +85,11 @@
 //     into the global aggregate via MergeDays (sums, max-of-max tails,
 //     query-weighted mean tails — associative up to float rounding).
 //     Spec.Normalize gives legacy specs one implicit region named
-//     "local", and a one-region run delegates to the plain engine,
-//     byte-identical to the committed goldens.
+//     "local", and NewEngine normalizes too, so every engine owns one
+//     region. Engine.RunDay and MultiEngine.RunDay step the same
+//     lockstep loop (the geo policy joins only between two or more
+//     engines), so a one-region run is byte-identical to the committed
+//     goldens.
 //
 // Dynamic batching (Options.MaxBatch > 1) turns each instance into a
 // batcher: queued queries coalesce into batches that launch when full,

@@ -84,10 +84,11 @@ func DefaultOptions() Options {
 // Engine replays days of traffic against a provisioned fleet.
 // NewEngine assembles one from a serializable Spec.
 type Engine struct {
-	// Spec is the defaulted run description the engine was built from
-	// and the one source of its configuration: the router name (RunDay
-	// resolves it through routerTable, once, and instantiates a fresh
-	// Router per model pool and interval), the cache tier, the grid,
+	// Spec is the normalized run description the engine was built from
+	// (Spec.Normalize; exactly one region, Regions[0]) and the one
+	// source of its configuration: the router name (RunDay resolves it
+	// through routerTable, once, and instantiates a fresh Router per
+	// model pool and interval), the cache tier, the grid, the scenario,
 	// the engine Options, and the day Workloads synthesizes.
 	Spec        Spec
 	Fleet       hw.Fleet
@@ -100,11 +101,6 @@ type Engine struct {
 	// Admission is the SLA-aware load-shedding policy consulted per
 	// interval and workload before routing; nil admits everything.
 	Admission Admission
-	// Timeline injects a compiled non-stationary scenario
-	// (internal/scenario): per-interval load spikes, query-mix shifts,
-	// admission shedding, server kills and derates. nil replays the
-	// unperturbed diurnal baseline.
-	Timeline *scenario.Timeline
 	// Observers receive every interval's finalized stats as the replay
 	// produces them, in order — the streaming hook the DayResult
 	// aggregation itself is built on.
@@ -125,9 +121,8 @@ type Engine struct {
 	// Spec.Trace or WithTraceSource.
 	TraceSrc *TraceSource
 
-	// sc is the parsed Spec.Scenario; RunDay compiles it into Timeline
-	// against the workloads' trace geometry when Timeline is nil and
-	// the scenario is active.
+	// sc is the parsed Spec.Scenario; every RunDay compiles it against
+	// its workloads' trace geometry when it is active.
 	sc        scenario.Scenario
 	newRouter func() Router
 	models    map[string]*model.Model
@@ -178,25 +173,6 @@ type replayScratch struct {
 	// buffers; segs lists every task's windows, task by task.
 	sel  stats.Selector
 	segs [][]float64
-}
-
-// ApplyScenario compiles the scenario against the workloads' aligned
-// trace geometry and the engine's fleet, and installs the resulting
-// timeline for the next RunDay.
-func (e *Engine) ApplyScenario(sc scenario.Scenario, ws []cluster.Workload) error {
-	if len(ws) == 0 {
-		return fmt.Errorf("fleet: no workloads to scope the scenario against")
-	}
-	steps := ws[0].Trace.Steps()
-	for _, w := range ws[1:] {
-		steps = min(steps, w.Trace.Steps())
-	}
-	tl, err := scenario.Compile(sc, steps, ws[0].Trace.StepS, e.fleetCounts())
-	if err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
-	e.Timeline = tl
-	return nil
 }
 
 // IntervalStats records one trace interval of the replay.
@@ -319,7 +295,7 @@ type DayResult struct {
 // RunDay replays the workloads' aligned diurnal traces end to end and
 // returns per-interval and aggregate serving metrics.
 //
-// With a Timeline set, each interval first applies the scenario's
+// With a Spec.Scenario set, each interval first applies the scenario's
 // traffic effects (load scaling, query-mix shifts, admission shedding)
 // and fleet effects (kills, derates). Kills bite immediately — the
 // affected instances vanish from the serving pools mid-replay — but the
@@ -328,25 +304,86 @@ type DayResult struct {
 // availability. Derates are never reported to the control plane: only
 // tail latency (and hence the autoscaler) can see them.
 func (e *Engine) RunDay(ws []cluster.Workload) (DayResult, error) {
-	if err := e.beginDay(ws); err != nil {
-		res := e.run.res
-		e.run = nil
-		return res, err
-	}
-	engines := []*Engine{e}
-	for i := 0; i < e.run.steps; i++ {
-		e.prepareInterval(i, nil)
-		runInterval(engines)
-	}
-	return e.endDay(), nil
+	days, err := runDays([]*Engine{e}, [][]cluster.Workload{ws}, e.sc, nil)
+	return days[0], err
 }
 
-// dayRun is one in-flight RunDay's cross-interval state. Factoring it
-// out of the loop lets the replay be driven two ways: RunDay's own
-// beginDay → (prepareInterval, runInterval) × steps → endDay
-// sequence, or interval-by-interval by MultiEngine, which prepares
-// every region and runs them all in one runInterval, so a geo-router
-// can move load between them at every step.
+// runDays is the one day loop: it replays engine r's day over wss[r],
+// every engine in lockstep — one engine for Engine.RunDay, one per
+// region for MultiEngine.RunDay. The scenario compiles per engine
+// region (scenario.CompileRegions) on every call, against the common
+// horizon of the shortest trace. A non-nil geo (two or more engines)
+// moves load between them at every interval boundary. On error each
+// result carries only its engine's labels.
+func runDays(engines []*Engine, wss [][]cluster.Workload, sc scenario.Scenario, geo *geoStep) ([]DayResult, error) {
+	names := make([]string, len(engines))
+	for r, eng := range engines {
+		names[r] = eng.Spec.Regions[0].Name
+	}
+	abort := func(err error) ([]DayResult, error) {
+		days := make([]DayResult, len(engines))
+		for r, eng := range engines {
+			if eng.run != nil {
+				days[r], eng.run = eng.run.res, nil
+			}
+		}
+		return days, err
+	}
+
+	steps := 0
+	for r, eng := range engines {
+		if err := eng.beginDay(wss[r]); err != nil {
+			if len(engines) > 1 {
+				err = fmt.Errorf("fleet: region %q: %w", names[r], err)
+			}
+			return abort(err)
+		}
+		if r == 0 || eng.run.steps < steps {
+			steps = eng.run.steps
+		}
+	}
+	// Blackouts expand to victim kills plus survivor spikes here.
+	var tls map[string]*scenario.Timeline
+	if sc.Active() {
+		counts := make(map[string]map[string]int, len(engines))
+		for r, eng := range engines {
+			counts[names[r]] = eng.fleetCounts()
+		}
+		var err error
+		if tls, err = scenario.CompileRegions(sc, steps, engines[0].run.stepS, names, counts); err != nil {
+			return abort(fmt.Errorf("fleet: %w", err))
+		}
+	}
+	for r, eng := range engines {
+		eng.run.steps, eng.run.tl = steps, tls[names[r]]
+		if tls != nil {
+			eng.run.res.Scenario = sc.Name
+		}
+	}
+
+	for i := 0; i < steps; i++ {
+		if geo != nil {
+			geo.route(i, engines)
+		}
+		for r, eng := range engines {
+			eng.prepareInterval(i, geo.adjust(r))
+		}
+		// Every engine's pools replay on one set of workers; finishing
+		// in engine order keeps observers and shared trace sinks
+		// deterministic.
+		runInterval(engines)
+	}
+
+	days := make([]DayResult, len(engines))
+	for r, eng := range engines {
+		days[r] = eng.endDay()
+	}
+	return days, nil
+}
+
+// dayRun is one in-flight day's cross-interval state, kept per engine
+// so runDays can step several engines interval by interval: beginDay
+// → (prepareInterval, runInterval) × steps → endDay.
 type dayRun struct {
 	ws    []cluster.Workload
 	res   DayResult
@@ -355,6 +392,9 @@ type dayRun struct {
 	steps int
 	stepS float64
 	every int
+	// tl is the day's compiled scenario timeline (nil replays the
+	// unperturbed diurnal baseline).
+	tl *scenario.Timeline
 
 	insts        map[string][]*Instance
 	active       cluster.StepResult
@@ -378,10 +418,10 @@ type dayRun struct {
 	tasks  []*poolTask
 }
 
-// beginDay validates the workloads, resolves policies, compiles the
-// scenario and seeds the per-day state. Every error path leaves e.run
-// set (its res carries the run's labels); on success the caller steps
-// every interval and then calls endDay.
+// beginDay validates the workloads, resolves policies and seeds the
+// per-day state. Every error path leaves e.run set (its res carries
+// the run's labels); on success the caller steps every interval and
+// then calls endDay.
 func (e *Engine) beginDay(ws []cluster.Workload) error {
 	e.run = &dayRun{ws: ws}
 	r := e.run
@@ -394,14 +434,6 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	}
 	if len(ws) == 0 {
 		return fmt.Errorf("fleet: no workloads")
-	}
-	if e.Timeline == nil && e.sc.Active() {
-		if err := e.ApplyScenario(e.sc, ws); err != nil {
-			return err
-		}
-	}
-	if e.Timeline != nil && e.Timeline.Name != "" {
-		r.res.Scenario = e.Timeline.Name
 	}
 	var err error
 	if e.newRouter, err = routerTable.lookup(e.Spec.Router); err != nil {
@@ -453,11 +485,8 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	// grid-less build.
 	e.gridTL = nil
 	if e.Spec.Grid.Enabled() {
-		region, phaseH := "local", 0.0
-		if len(e.Spec.Regions) == 1 {
-			region, phaseH = e.Spec.Regions[0].Name, e.Spec.Regions[0].PhaseH
-		}
-		tl, err := e.Spec.Grid.Compile(region, steps, r.stepS, phaseH)
+		reg := e.Spec.Regions[0]
+		tl, err := e.Spec.Grid.Compile(reg.Name, steps, r.stepS, reg.PhaseH)
 		if err != nil {
 			return err
 		}
@@ -510,7 +539,7 @@ type geoAdjust struct {
 // called with consecutive i after beginDay.
 func (e *Engine) prepareInterval(i int, adj *geoAdjust) {
 	r := e.run
-	eff := e.Timeline.At(i)
+	eff := r.tl.At(i)
 	loads := e.offeredLoads(i, eff)
 	if adj != nil {
 		for m := range loads {

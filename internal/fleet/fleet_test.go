@@ -256,14 +256,24 @@ func testEngine(router string, opts Options) *Engine {
 	// HeadroomR 0.05 pins the cluster layer's interval headroom the
 	// pre-redesign test engine ran with (the goldens were recorded at
 	// it); production specs default to 0.15 serving headroom.
-	e, err := NewEngine(Spec{Router: router, Policy: "greedy", Models: []string{"DLRM-RMC1"},
-		HeadroomR: 0.05, Options: opts},
-		WithFleet(testFleet()), WithTable(testTable()),
-		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
+	e, err := newTestEngine(testSpec(router, opts))
 	if err != nil {
 		panic(err)
 	}
 	return e
+}
+
+// testSpec is testEngine's spec.
+func testSpec(router string, opts Options) Spec {
+	return Spec{Router: router, Policy: "greedy", Models: []string{"DLRM-RMC1"},
+		HeadroomR: 0.05, Options: opts}
+}
+
+// newTestEngine builds spec on testEngine's fleet, table and 5 ms
+// constant service.
+func newTestEngine(spec Spec) (*Engine, error) {
+	return NewEngine(spec, WithFleet(testFleet()), WithTable(testTable()),
+		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
 }
 
 func testOpts() Options {

@@ -27,11 +27,10 @@ type MultiEngine struct {
 	// in order. Exported for tests and tools that decorate individual
 	// regions (observers, tracers) before RunDay.
 	Engines []*Engine
-	// Geo is the instantiated geo-routing policy.
-	Geo GeoPolicy
 
-	sc   scenario.Scenario
-	rttS [][]float64
+	sc scenario.Scenario
+	// geo routes load between the regions; nil with one region.
+	geo *geoStep
 }
 
 // NewMultiEngine assembles a multi-region replay from a Spec with
@@ -44,8 +43,8 @@ type MultiEngine struct {
 // region replays against one CalibrateSpec table.
 //
 // A single-region spec (including a normalized legacy spec) is valid:
-// RunDay then delegates to the one engine and its result is
-// byte-identical to NewEngine + RunDay on the same spec.
+// its one engine steps the same day loop as NewEngine + RunDay on the
+// same spec, so its result is byte-identical, region labels attached.
 func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 	nspec, err := spec.Normalize()
 	if err != nil {
@@ -94,19 +93,16 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 		opts = append(opts[:len(opts):len(opts)], WithTable(table))
 	}
 
-	me := &MultiEngine{Spec: nspec, Geo: geo, sc: sc}
+	me := &MultiEngine{Spec: nspec, sc: sc}
 	multi := len(nspec.Regions) > 1
 	for _, r := range nspec.Regions {
 		rs := nspec
-		rs.Fleet = r.Fleet
-		rs.Regions = []RegionSpec{r}
+		// The RTT matrix lives in the geo step, not in a region engine.
+		rs.Regions = []RegionSpec{{Name: r.Name, Fleet: r.Fleet, PhaseH: r.PhaseH}}
 		rs.Geo = ""
 		rs.Grid = nspec.Grid.ForRegion(r.Name)
+		rs.Scenario = ""
 		if multi {
-			// The region engines replay the scenario's per-region
-			// timelines (CompileRegions), installed by RunDay — not the
-			// whole scenario each.
-			rs.Scenario = ""
 			// Salt each region's seed: two regions are different
 			// populations, not mirrored replicas of one noise stream.
 			rs.Options.Seed = stats.MixSeed(nspec.Options.Seed, 0x9e0, stats.HashString(r.Name))
@@ -120,25 +116,8 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 		}
 		me.Engines = append(me.Engines, eng)
 	}
-
-	// Resolve the RTT matrix once: explicit entry, symmetric fallback,
-	// then DefaultRTTMS; zero on the diagonal.
-	n := len(nspec.Regions)
-	me.rttS = make([][]float64, n)
-	for i := range me.rttS {
-		me.rttS[i] = make([]float64, n)
-		for j := range me.rttS[i] {
-			if i == j {
-				continue
-			}
-			ms := DefaultRTTMS
-			if v, ok := nspec.Regions[i].RTTMS[nspec.Regions[j].Name]; ok {
-				ms = v
-			} else if v, ok := nspec.Regions[j].RTTMS[nspec.Regions[i].Name]; ok {
-				ms = v
-			}
-			me.rttS[i][j] = ms / 1e3
-		}
+	if multi {
+		me.geo = newGeoStep(geo, nspec.Regions)
 	}
 	return me, nil
 }
@@ -148,7 +127,7 @@ func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 func (me *MultiEngine) Workloads() [][]cluster.Workload {
 	out := make([][]cluster.Workload, len(me.Engines))
 	for i, eng := range me.Engines {
-		out[i] = eng.workloadsAt(me.Spec.Regions[i].PhaseH)
+		out[i] = eng.Workloads()
 	}
 	return out
 }
@@ -162,111 +141,99 @@ func (me *MultiEngine) RunDay(wss [][]cluster.Workload) (DayResult, error) {
 	if len(wss) != len(me.Engines) {
 		return DayResult{}, fmt.Errorf("fleet: %d workload sets for %d regions", len(wss), len(me.Engines))
 	}
-	if len(me.Engines) == 1 {
-		// Single region: delegate outright — byte-identical to the
-		// engine running alone, just with the region labels attached.
-		res, err := me.Engines[0].RunDay(wss[0])
-		res.Region = me.Spec.Regions[0].Name
-		res.Geo = me.Spec.Geo
-		if err != nil {
-			return res, err
-		}
-		global := MergeDays(res)
-		global.Geo = me.Spec.Geo
-		global.Regions = []DayResult{res}
-		return global, nil
+	days, err := runDays(me.Engines, wss, me.sc, me.geo)
+	for r := range days {
+		days[r].Region, days[r].Geo = me.Spec.Regions[r].Name, me.Spec.Geo
 	}
-
-	names := make([]string, len(me.Spec.Regions))
-	for i, r := range me.Spec.Regions {
-		names[i] = r.Name
-	}
-	fleetCounts := make(map[string]map[string]int, len(names))
-	for i, eng := range me.Engines {
-		fleetCounts[names[i]] = eng.fleetCounts()
-	}
-
-	// beginDay every region before stepping any: each engine validates
-	// its workloads.
-	fail := func(i int, err error) (DayResult, error) {
-		return me.Engines[i].run.res, fmt.Errorf("fleet: region %q: %w", names[i], err)
-	}
-	steps := 0
-	for i, eng := range me.Engines {
-		if err := eng.beginDay(wss[i]); err != nil {
-			return fail(i, err)
-		}
-		if steps == 0 || eng.run.steps < steps {
-			steps = eng.run.steps
-		}
-	}
-	// Compile the scenario per region against the common horizon and
-	// install the timelines (blackouts expand to victim kills plus
-	// survivor spikes here).
-	tls, err := scenario.CompileRegions(me.sc, steps, me.Engines[0].run.stepS, names, fleetCounts)
 	if err != nil {
-		return fail(0, err)
-	}
-	for i, eng := range me.Engines {
-		eng.Timeline = tls[names[i]]
-		eng.run.steps = steps
-		if tls[names[i]].Name != "" {
-			eng.run.res.Scenario = tls[names[i]].Name
-		}
-	}
-
-	sig := GeoSignal{RTTS: me.rttS, Regions: make([]RegionSignal, len(me.Engines))}
-	offered := make([]map[string]float64, len(me.Engines))
-	adjs := make([]geoAdjust, len(me.Engines))
-	for i := 0; i < steps; i++ {
-		// Snapshot each region at the boundary: offered home load,
-		// optimistic capacity of the fleet as scenario effects leave it,
-		// and the blackout flag.
-		sig.Interval = i
-		for r, eng := range me.Engines {
-			eff := eng.Timeline.At(i)
-			offered[r] = eng.offeredLoads(i, eff)
-			var total float64
-			ms := make([]string, 0, len(offered[r]))
-			for m := range offered[r] {
-				ms = append(ms, m)
-			}
-			sort.Strings(ms)
-			for _, m := range ms {
-				total += offered[r][m]
-			}
-			sig.Regions[r] = RegionSignal{
-				Name:        names[r],
-				OfferedQPS:  total,
-				CapacityQPS: eng.capacityQPS(eff),
-				Blackout:    eff.Blackout,
-			}
-		}
-		spill := me.Geo.Route(sig)
-		me.buildAdjusts(spill, offered, sig.Regions, adjs)
-		for r, eng := range me.Engines {
-			adj := &adjs[r]
-			if adj.keep == 1 && len(adj.inbound) == 0 {
-				adj = nil // untouched interval: replay exactly as single-region
-			}
-			eng.prepareInterval(i, adj)
-		}
-		// Every region's pools replay on one set of workers; finishing
-		// in region order keeps observers and shared trace sinks
-		// deterministic.
-		runInterval(me.Engines)
-	}
-
-	days := make([]DayResult, len(me.Engines))
-	for r, eng := range me.Engines {
-		days[r] = eng.endDay()
-		days[r].Region = names[r]
-		days[r].Geo = me.Spec.Geo
+		return DayResult{Geo: me.Spec.Geo, Regions: days}, err
 	}
 	global := MergeDays(days...)
-	global.Geo = me.Spec.Geo
-	global.Regions = days
+	global.Geo, global.Regions = me.Spec.Geo, days
 	return global, nil
+}
+
+// geoStep is the day loop's routing between two or more regions, its
+// buffers reused from interval to interval.
+type geoStep struct {
+	policy  GeoPolicy
+	sig     GeoSignal
+	offered []map[string]float64
+	adjs    []geoAdjust
+}
+
+// newGeoStep resolves the RTT matrix once: explicit entry, symmetric
+// fallback, then DefaultRTTMS; zero on the diagonal.
+func newGeoStep(policy GeoPolicy, regions []RegionSpec) *geoStep {
+	n := len(regions)
+	g := &geoStep{
+		policy:  policy,
+		sig:     GeoSignal{Regions: make([]RegionSignal, n), RTTS: make([][]float64, n)},
+		offered: make([]map[string]float64, n),
+		adjs:    make([]geoAdjust, n),
+	}
+	for i := range regions {
+		g.sig.Regions[i].Name = regions[i].Name
+		g.sig.RTTS[i] = make([]float64, n)
+		for j := range regions {
+			if i == j {
+				continue
+			}
+			ms := DefaultRTTMS
+			if v, ok := regions[i].RTTMS[regions[j].Name]; ok {
+				ms = v
+			} else if v, ok := regions[j].RTTMS[regions[i].Name]; ok {
+				ms = v
+			}
+			g.sig.RTTS[i][j] = ms / 1e3
+		}
+	}
+	return g
+}
+
+// route snapshots every region at interval i's boundary (offered home
+// load, optimistic capacity of the fleet as scenario effects leave it,
+// blackout flag) and turns the geo policy's answer into adjs.
+func (g *geoStep) route(i int, engines []*Engine) {
+	g.sig.Interval = i
+	for r, eng := range engines {
+		eff := eng.run.tl.At(i)
+		g.offered[r] = eng.offeredLoads(i, eff)
+		reg := &g.sig.Regions[r]
+		reg.OfferedQPS = sumSorted(g.offered[r])
+		reg.CapacityQPS = eng.capacityQPS(eff)
+		reg.Blackout = eff.Blackout
+	}
+	g.buildAdjusts(g.policy.Route(g.sig))
+}
+
+// adjust returns region r's outcome of the routed interval, nil when
+// there is no geo step or routing left the region untouched: the
+// region then replays exactly as a lone engine.
+func (g *geoStep) adjust(r int) *geoAdjust {
+	if g == nil {
+		return nil
+	}
+	if a := &g.adjs[r]; a.keep != 1 || len(a.inbound) > 0 {
+		return a
+	}
+	return nil
+}
+
+// sumSorted adds up a per-model load map in model-name order: float
+// addition is not associative, so a sum in map order would differ
+// from run to run once three or more models contribute.
+func sumSorted(loads map[string]float64) float64 {
+	ms := make([]string, 0, len(loads))
+	for m := range loads {
+		ms = append(ms, m)
+	}
+	sort.Strings(ms)
+	var total float64
+	for _, m := range ms {
+		total += loads[m]
+	}
+	return total
 }
 
 // buildAdjusts turns a geo policy's routing matrix into per-region
@@ -274,10 +241,11 @@ func (me *MultiEngine) RunDay(wss [][]cluster.Workload) (DayResult, error) {
 // in [0, 1], row total at most 1, nothing routed to self), then
 // accumulate what each destination receives per model and the
 // inbound-weighted mean RTT its remote queries pay.
-func (me *MultiEngine) buildAdjusts(spill [][]float64, offered []map[string]float64, regs []RegionSignal, adjs []geoAdjust) {
-	n := len(me.Engines)
-	for r := range adjs {
-		adjs[r] = geoAdjust{keep: 1}
+func (g *geoStep) buildAdjusts(spill [][]float64) {
+	n := len(g.adjs)
+	regs := g.sig.Regions
+	for r := range g.adjs {
+		g.adjs[r] = geoAdjust{keep: 1}
 	}
 	if len(spill) != n {
 		return // malformed policy output: route nothing
@@ -299,27 +267,22 @@ func (me *MultiEngine) buildAdjusts(spill [][]float64, offered []map[string]floa
 			}
 			rowTotal += f
 			srcQPS := regs[src].OfferedQPS * f
-			adjs[src].outQPS += srcQPS
-			dst := dst
-			a := &adjs[dst]
+			g.adjs[src].outQPS += srcQPS
+			a := &g.adjs[dst]
 			if a.inbound == nil {
 				a.inbound = make(map[string]float64)
 			}
-			for m, l := range offered[src] {
+			for m, l := range g.offered[src] {
 				a.inbound[m] += l * f
 			}
 			// rttS accumulates as a weighted sum here; normalized below.
-			a.rttS += me.rttS[src][dst] * srcQPS
+			a.rttS += g.sig.RTTS[src][dst] * srcQPS
 		}
-		adjs[src].keep = 1 - rowTotal
+		g.adjs[src].keep = 1 - rowTotal
 	}
-	for r := range adjs {
-		a := &adjs[r]
-		var in float64
-		for _, l := range a.inbound {
-			in += l
-		}
-		if in > 0 {
+	for r := range g.adjs {
+		a := &g.adjs[r]
+		if in := sumSorted(a.inbound); in > 0 {
 			a.rttS /= in
 		} else {
 			a.rttS = 0

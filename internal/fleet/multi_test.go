@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hercules/internal/cluster"
+	"hercules/internal/profiler"
 )
 
 // regionsTestSpec is the two-region drill the multi-region tests and
@@ -38,10 +40,12 @@ func regionsWorkloads() [][]cluster.Workload {
 	}
 }
 
-func newRegionsEngine(t *testing.T, spec Spec) *MultiEngine {
+// newRegionsEngine builds spec on the test fleet, table and 5 ms
+// service; opts apply last, so they override any of those.
+func newRegionsEngine(t *testing.T, spec Spec, opts ...Option) *MultiEngine {
 	t.Helper()
-	me, err := NewMultiEngine(spec, WithFleet(testFleet()), WithTable(testTable()),
-		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
+	me, err := NewMultiEngine(spec, append([]Option{WithFleet(testFleet()), WithTable(testTable()),
+		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 }))}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +85,51 @@ func TestRegionsGoldenReplay(t *testing.T) {
 	want := loadGolden(t, path)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("two-region spill replay diverged from the committed golden (UPDATE_GOLDEN=1 to regenerate after a deliberate change)")
+	}
+}
+
+// TestRegionsSpillReplayDeterministic: a three-model, three-region
+// spill day replays byte-identically within one process. The inbound
+// load that normalizes spilled queries' RTT is a float sum over
+// models; added up in map order it moves in its last digits from
+// replay to replay once three models contribute.
+func TestRegionsSpillReplayDeterministic(t *testing.T) {
+	models := []string{"DLRM-RMC1", "DLRM-RMC2", "DLRM-RMC3"}
+	table := testTable()
+	for _, m := range models[1:] {
+		table.Set(profiler.Entry{Model: m, Server: "T2", QPS: 200, PowerW: 300, QPSPerWatt: 200.0 / 300})
+	}
+	spec := regionsTestSpec(GeoSpill)
+	spec.Models = models
+	spec.Regions = []RegionSpec{{Name: "east"}, {Name: "west", PhaseH: -6}, {Name: "eu", PhaseH: 6}}
+	wss := make([][]cluster.Workload, len(spec.Regions))
+	for r := range wss {
+		for i, m := range models {
+			loads := make([]float64, 8)
+			for k := range loads {
+				loads[k] = 700/float64(r+1) + 97.3*float64(i) + 31.7*float64(k)
+			}
+			wss[r] = append(wss[r], cluster.Workload{Model: m, Trace: stepTrace(loads...)})
+		}
+	}
+	var first []byte
+	for rep := 0; rep < 12; rep++ {
+		res, err := newRegionsEngine(t, spec, WithTable(table)).RunDay(wss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 && res.SpillInServed == 0 {
+			t.Fatal("the blackout spilled nothing; the replay does not exercise geo spill")
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 {
+			first = data
+		} else if !bytes.Equal(data, first) {
+			t.Fatalf("replay %d of the same spec differs from the first", rep)
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hercules/internal/cluster"
 	"hercules/internal/hw"
 	"hercules/internal/scenario"
+	"hercules/internal/workload"
 )
 
 // flatTrace is a steady load the test fleet serves comfortably, so any
@@ -20,9 +23,18 @@ func flatTrace(qps float64, steps int) []cluster.Workload {
 	return []cluster.Workload{{Model: "DLRM-RMC1", Trace: stepTrace(loads...)}}
 }
 
-func withScenario(t *testing.T, e *Engine, ws []cluster.Workload, sc scenario.Scenario) *Engine {
+// scenarioEngine is testEngine with sc in its Spec.Scenario, as the
+// inline JSON scenario.Parse accepts.
+func scenarioEngine(t *testing.T, router string, sc scenario.Scenario) *Engine {
 	t.Helper()
-	if err := e.ApplyScenario(sc, ws); err != nil {
+	js, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec(router, testOpts())
+	spec.Scenario = string(js)
+	e, err := newTestEngine(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -39,7 +51,7 @@ func TestScenarioSpikeDivergesFromBaseline(t *testing.T) {
 		// between the scheduled re-provisions at intervals 0 and 4.
 		{Kind: scenario.Spike, StartH: 0.5, EndH: 1.0, Factor: 6},
 	}}
-	spiked, err := withScenario(t, testEngine(PowerOfTwo, testOpts()), ws, sc).RunDay(ws)
+	spiked, err := scenarioEngine(t, PowerOfTwo, sc).RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestScenarioKillDegradesThenReprovisions(t *testing.T) {
 		// 55 of the 60 T2 servers die during intervals 3-5.
 		{Kind: scenario.Kill, StartH: 0.5, EndH: 1.0, Type: "T2", Count: 55},
 	}}
-	res, err := withScenario(t, testEngine(PowerOfTwo, testOpts()), ws, sc).RunDay(ws)
+	res, err := scenarioEngine(t, PowerOfTwo, sc).RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +132,7 @@ func TestScenarioDerateRaisesTailsSilently(t *testing.T) {
 	sc := scenario.Scenario{Name: "throttle", Events: []scenario.Event{
 		{Kind: scenario.Derate, StartH: 0, EndH: 1, Factor: 0.5},
 	}}
-	slow, err := withScenario(t, testEngine(LeastOutstanding, testOpts()), ws, sc).RunDay(ws)
+	slow, err := scenarioEngine(t, LeastOutstanding, sc).RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,7 @@ func TestScenarioShedAccounting(t *testing.T) {
 	sc := scenario.Scenario{Name: "drill", Events: []scenario.Event{
 		{Kind: scenario.Shed, StartH: 0, EndH: 1, Factor: 0.5},
 	}}
-	shed, err := withScenario(t, testEngine(RoundRobin, testOpts()), ws, sc).RunDay(ws)
+	shed, err := scenarioEngine(t, RoundRobin, sc).RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +208,7 @@ func TestScenarioMixShiftStressesCapacity(t *testing.T) {
 	sc := scenario.Scenario{Name: "failover", Events: []scenario.Event{
 		{Kind: scenario.MixShift, StartH: 0.5, EndH: 1, Factor: 2.5},
 	}}
-	shifted, err := withScenario(t, sized(testEngine(PowerOfTwo, testOpts())), ws, sc).RunDay(ws)
+	shifted, err := sized(scenarioEngine(t, PowerOfTwo, sc)).RunDay(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() DayResult {
-		res, err := withScenario(t, testEngine(WeightedHetero, testOpts()), ws, sc).RunDay(ws)
+		res, err := scenarioEngine(t, WeightedHetero, sc).RunDay(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,15 +241,94 @@ func TestScenarioReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestApplyScenarioRejectsInvalid(t *testing.T) {
-	ws := flatTrace(100, 4)
-	e := testEngine(RoundRobin, testOpts())
-	bad := scenario.Scenario{Events: []scenario.Event{{Kind: "nope", StartH: 0, EndH: 1}}}
-	if err := e.ApplyScenario(bad, ws); err == nil {
+// TestSpecScenarioRejectsInvalid: Spec.Scenario is the one way a
+// scenario reaches an engine, so an invalid one fails NewEngine, one
+// that does not fit the engine's region fails RunDay (a blackout of the
+// only region by its name), and so do empty workloads.
+func TestSpecScenarioRejectsInvalid(t *testing.T) {
+	spec := testSpec(RoundRobin, testOpts())
+	spec.Scenario = `[{"kind":"nope","start_h":0,"end_h":1}]`
+	if _, err := newTestEngine(spec); err == nil {
 		t.Error("invalid scenario accepted")
 	}
-	if err := e.ApplyScenario(scenario.Scenario{}, nil); err == nil {
+	ws := flatTrace(100, 4)
+	for _, tc := range []struct{ scenario, want string }{
+		{`[{"kind":"spike","region":"elsewhere","start_h":0,"end_h":1,"factor":2}]`, `unknown region "elsewhere"`},
+		{`[{"kind":"blackout","region":"local","start_h":0,"end_h":1}]`, `blackout of the only region "local"`},
+	} {
+		spec.Scenario = tc.scenario
+		e, err := newTestEngine(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunDay(ws); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("scenario %s: RunDay error %v, want one naming %s", tc.scenario, err, tc.want)
+		}
+	}
+	if _, err := testEngine(RoundRobin, testOpts()).RunDay(nil); err == nil {
 		t.Error("empty workloads accepted")
+	}
+}
+
+// TestScenarioScopedToOwnRegion: a one-region engine may scope an event
+// to its own region, and the replay is the unscoped event's.
+func TestScenarioScopedToOwnRegion(t *testing.T) {
+	ws := flatTrace(1000, 8)
+	run := func(region string) DayResult {
+		res, err := scenarioEngine(t, PowerOfTwo, scenario.Scenario{Name: "burst", Events: []scenario.Event{
+			{Kind: scenario.Spike, StartH: 0.5, EndH: 1.0, Factor: 3, Region: region},
+		}}).RunDay(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	scoped, unscoped := run("local"), run("")
+	if scoped.Steps[3].OfferedQPS != 3000 {
+		t.Errorf("scoped spike offered %.0f QPS at interval 3, want 3000", scoped.Steps[3].OfferedQPS)
+	}
+	if !reflect.DeepEqual(scoped, unscoped) {
+		t.Error("an event scoped to the engine's own region diverged from the unscoped event")
+	}
+}
+
+// TestScenarioRecompiledPerDay: every RunDay compiles the scenario
+// against its own workloads' geometry, so a second day at a finer step
+// puts the spike where its hours fall, not where the first day's
+// intervals put it.
+func TestScenarioRecompiledPerDay(t *testing.T) {
+	e := scenarioEngine(t, PowerOfTwo, scenario.Scenario{Name: "burst", Events: []scenario.Event{
+		{Kind: scenario.Spike, StartH: 0.5, EndH: 1.0, Factor: 3},
+	}})
+	spiked := func(res DayResult) []int {
+		var out []int
+		for _, st := range res.Steps {
+			if st.OfferedQPS > 1000 {
+				out = append(out, st.Index)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		stepS float64
+		steps int
+		want  []int
+	}{
+		{600, 10, []int{3, 4, 5}},
+		{300, 16, []int{6, 7, 8, 9, 10, 11}},
+	} {
+		loads := make([]float64, tc.steps)
+		for i := range loads {
+			loads[i] = 1000
+		}
+		ws := []cluster.Workload{{Model: "DLRM-RMC1", Trace: workload.DiurnalTrace{Service: "test", StepS: tc.stepS, LoadsQPS: loads}}}
+		res, err := e.RunDay(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spiked(res); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%gs steps: spike hit intervals %v, want %v", tc.stepS, got, tc.want)
+		}
 	}
 }
 

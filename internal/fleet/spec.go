@@ -299,20 +299,18 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 	if traceSrc != nil && len(spec.Models) == 0 {
 		spec.Models = traceSrc.Models()
 	}
-	spec = spec.withDefaults()
+	spec, err := spec.Normalize()
+	if err != nil {
+		return nil, err
+	}
 	if len(spec.Regions) > 1 {
 		return nil, fmt.Errorf("fleet: spec has %d regions; use NewMultiEngine for multi-region replays", len(spec.Regions))
 	}
-	if len(spec.Regions) == 1 && spec.Regions[0].Fleet != "" {
-		spec.Fleet = spec.Regions[0].Fleet
-	}
-	if spec.Geo != "" {
-		if _, err := geoTable.lookup(spec.Geo); err != nil {
-			return nil, err
-		}
+	region := spec.Regions[0]
+	if _, err := geoTable.lookup(spec.Geo); err != nil {
+		return nil, err
 	}
 
-	var err error
 	if spec.Router, err = ParseRouter(spec.Router); err != nil {
 		return nil, err
 	}
@@ -328,16 +326,12 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		if err := spec.Grid.Validate(); err != nil {
 			return nil, err
 		}
-		known := []string{"local"}
-		if len(spec.Regions) == 1 {
-			known = []string{spec.Regions[0].Name}
-		}
-		if err := spec.Grid.CheckRegions(known); err != nil {
+		if err := spec.Grid.CheckRegions([]string{region.Name}); err != nil {
 			return nil, err
 		}
 	}
 
-	fl, err := hw.NamedFleet(spec.Fleet)
+	fl, err := hw.NamedFleet(region.Fleet)
 	if cfg.fleet != nil {
 		fl, err = *cfg.fleet, nil
 	}
@@ -402,27 +396,18 @@ func specAdmission(name string) (Admission, error) {
 	return admissionTable.build(name)
 }
 
-// Workloads synthesizes the engine's diurnal day from its spec: one
-// trace per model over Spec.Days days at Spec.StepMin-minute
-// intervals, peaks at Spec.PeakQPS — or, when 0, auto-sized so each
-// workload peaks at ~45% of the fleet's best-case capacity for it,
-// split across the workloads: high enough that stale allocations hurt
-// at the peak, low enough that the fleet is never simply exhausted.
-func (e *Engine) Workloads() []cluster.Workload {
-	phaseH := 0.0
-	if len(e.Spec.Regions) == 1 {
-		phaseH = e.Spec.Regions[0].PhaseH
-	}
-	return e.workloadsAt(phaseH)
-}
-
 // defaultPeakHour is the reference diurnal peak (the paper's Fig. 2d
-// synchronized evening peak); a region's PhaseH shifts it.
+// synchronized evening peak); the region's PhaseH shifts it.
 const defaultPeakHour = 20.0
 
-// workloadsAt is Workloads with the diurnal peak shifted by phaseH
-// hours — the per-region day of a multi-region replay.
-func (e *Engine) workloadsAt(phaseH float64) []cluster.Workload {
+// Workloads synthesizes the engine's diurnal day from its spec: one
+// trace per model over Spec.Days days at Spec.StepMin-minute
+// intervals, the peak shifted by the region's PhaseH hours, peaks at
+// Spec.PeakQPS — or, when 0, auto-sized so each workload peaks at ~45%
+// of the fleet's best-case capacity for it, split across the
+// workloads: high enough that stale allocations hurt at the peak, low
+// enough that the fleet is never simply exhausted.
+func (e *Engine) Workloads() []cluster.Workload {
 	spec := e.Spec
 	if e.TraceSrc != nil {
 		// A recorded day is its own workload description: per-model
@@ -430,7 +415,7 @@ func (e *Engine) workloadsAt(phaseH float64) []cluster.Workload {
 		return e.TraceSrc.Workloads(spec.StepMin*60, spec.Options.SliceS)
 	}
 	peakHour := defaultPeakHour
-	if phaseH != 0 {
+	if phaseH := spec.Regions[0].PhaseH; phaseH != 0 {
 		peakHour = math.Mod(defaultPeakHour+phaseH, 24)
 		if peakHour < 0 {
 			peakHour += 24

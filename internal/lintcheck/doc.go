@@ -17,8 +17,10 @@
 //     count. The legal core-count reads, runInterval's worker count
 //     and the calibration semaphore, carry a //lint:allow.
 //   - maporder: no ranging over a map whose body appends to a slice,
-//     writes an exported result field, or emits output/telemetry,
-//     unless a deterministic sort follows in the same block.
+//     folds a float or string into a variable that outlives it (keyed
+//     writes stay legal), writes an exported result field, or emits
+//     output/telemetry, unless a deterministic sort follows in the
+//     same block.
 //   - obscontract: Observer implementations neither spawn goroutines
 //     nor retain the per-interval snapshot past the callback.
 //

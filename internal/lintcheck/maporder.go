@@ -7,8 +7,9 @@ import (
 )
 
 // MaporderAnalyzer enforces the map-iteration-order contract: ranging
-// over a map is fine for commutative aggregation (sums, counters, map
-// writes), but the moment the body appends to a slice, writes an
+// over a map is fine for commutative aggregation (integer sums,
+// counters, map writes), but the moment the body appends to a slice,
+// folds a float or string into a variable that outlives it, writes an
 // exported result field, emits telemetry or writes output, the map's
 // random iteration order leaks into observable state — the classic
 // silent killer of replay byte-identity. The loop is accepted when a
@@ -16,8 +17,8 @@ import (
 // sort idiom); otherwise iterate over sorted keys.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
-	Doc: "forbid ranging over a map when the body appends, writes exported fields or emits " +
-		"output/telemetry, unless a deterministic sort follows in the same block",
+	Doc: "forbid ranging over a map when the body appends, folds floats or strings, writes exported " +
+		"fields or emits output/telemetry, unless a deterministic sort follows in the same block",
 	Run: runMaporder,
 }
 
@@ -104,6 +105,16 @@ func mapOrderSink(pass *Pass, body *ast.BlockStmt) (token.Pos, string) {
 			}
 		case *ast.AssignStmt:
 			for i, lhs := range x.Lhs {
+				// A float, complex or string compound assignment is a
+				// fold whose result depends on the order of its terms,
+				// unless it is keyed (sums[k] += v) or its target dies
+				// with the iteration.
+				if x.Tok != token.ASSIGN && x.Tok != token.DEFINE && inexactType(pass.TypesInfo.TypeOf(lhs)) {
+					if _, keyed := ast.Unparen(lhs).(*ast.IndexExpr); !keyed && declaredOutside(pass, lhs, body) {
+						pos, desc = lhs.Pos(), "order-dependent fold ("+types.ExprString(lhs)+")"
+						return false
+					}
+				}
 				sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 				if !ok || !ast.IsExported(sel.Sel.Name) {
 					continue
@@ -135,6 +146,16 @@ func mapOrderSink(pass *Pass, body *ast.BlockStmt) (token.Pos, string) {
 		return true
 	})
 	return pos, desc
+}
+
+// inexactType reports whether t is a float, complex or string type,
+// whose compound folds (+=, *=, ...) are not exactly commutative.
+func inexactType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex|types.IsString) != 0
 }
 
 // declaredOutside reports whether the expression's root variable was

@@ -1,6 +1,7 @@
 // Package maporder is the map-iteration-order fixture: order-sensitive
-// sinks inside a map range are flagged unless a deterministic sort
-// follows; commutative folds and keyed writes stay legal.
+// sinks inside a map range (including float and string folds into
+// variables that outlive the body) are flagged unless a deterministic
+// sort follows; integer folds and keyed writes stay legal.
 package maporder
 
 import (
@@ -41,6 +42,32 @@ func sum(m map[string]int) int {
 		total += v
 	}
 	return total
+}
+
+func floatSum(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m { // want "order-dependent fold \\(total\\)"
+		total += v
+	}
+	return total
+}
+
+func keyedFloatFold(m map[string]float64, scale map[string]float64) {
+	for k, v := range m { // keyed float write: legal
+		scale[k] *= v
+	}
+}
+
+func loopLocalFloatFold(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, vs := range m { // fold into a loop-local variable: legal
+		var s float64
+		for _, v := range vs {
+			s += v
+		}
+		out[k] = s
+	}
+	return out
 }
 
 func exportedWrite(m map[string]float64, res *result) {
